@@ -140,12 +140,14 @@ class CacheModule(Component):
         memory = self.machine.memory
         stats = self.machine.stats
         if pkg.kind in (P.LOAD, P.PREFETCH, P.RO_FILL):
-            pkg.reply = memory.load(pkg.addr)
+            if not pkg.performed:
+                pkg.reply = memory.load(pkg.addr)
         elif pkg.kind in (P.STORE, P.STORE_NB):
             if not pkg.performed:
                 memory.store(pkg.addr, pkg.value)
         elif pkg.kind == P.PSM:
-            pkg.reply = memory.psm(pkg.addr, to_signed(pkg.value))
+            if not pkg.performed:
+                pkg.reply = memory.psm(pkg.addr, to_signed(pkg.value))
             self.psm_ops += 1
             stats.inc("cache.psm")
         else:  # pragma: no cover - routing prevents this
@@ -168,6 +170,11 @@ class CacheModule(Component):
 
     def tick(self, cycle: int) -> None:
         now = self.machine.scheduler.now
+        delayed = self._delayed
+        waiting = self.in_queue._items
+        if ((not delayed or delayed[0][0] > now)
+                and (not waiting or waiting[0][0] >= now)):
+            return  # only DRAM misses in flight or responses not yet due
         stats = self.machine.stats
         obs = self.machine.obs
         lifecycle = self.machine.lifecycle
@@ -177,7 +184,6 @@ class CacheModule(Component):
             if lifecycle is not None:
                 lifecycle.response_enqueued(pkg, now, len(self.out_queue))
             self.out_queue.push(now, pkg)
-            self.machine.icn_pending += 1
         # accept new requests
         for _ in range(self.ports):
             pkg = self.in_queue.pop_ready(now)

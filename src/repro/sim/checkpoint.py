@@ -87,6 +87,9 @@ def clear_pause(machine: Machine) -> None:
 
 def save_bytes(machine: Machine) -> bytes:
     """Serialize a machine's complete state to bytes."""
+    # charge sleeping TCUs' skipped stalls while the observability
+    # (detached below) can still see them
+    machine.settle()
     detached = _detach_unpicklables(machine)
     try:
         return pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)

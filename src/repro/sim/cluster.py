@@ -9,6 +9,8 @@ back-pressures its TCUs).
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.isa.instructions import FU_FPU, FU_MDU
 from repro.sim.cache import ReadOnlyCache
 from repro.sim.fabric import Port
@@ -29,7 +31,19 @@ class Cluster:
             TCU(machine, self, cluster_id * cfg.tcus_per_cluster + i, i)
             for i in range(cfg.tcus_per_cluster)
         ]
+        # bound once: tracers patch TCU.tick on the class beforehand
         self._tcu_ticks = [tcu.tick for tcu in self.tcus]
+        #: per local id: is the TCU on the tick list (TCU sleep/wake)
+        self.awake = [not tcu.asleep for tcu in self.tcus]
+        #: ticks of the awake TCUs in local-id order (shared-FU
+        #: arbitration and send-port push order depend on it); replaced,
+        #: never mutated, so a TCU may fall asleep mid-loop.  Rebuilt at
+        #: the first edge after a TCU slept or woke (``stale``).
+        self._awake_ticks = []
+        self.stale = True
+        #: parallel edges on which the TCU loop ran: a sleeping TCU owes
+        #: one stall per edge since it fell asleep (TCU.settle)
+        self.edges = 0
         self.domain = None  # set by the machine
         # shared-FU arbitration state
         self._fpu_pipelined = cfg.fpu_pipelined
@@ -69,18 +83,17 @@ class Cluster:
         raise AssertionError(f"unknown shared FU {fu}")
 
     def tick(self, cycle: int) -> None:
-        # Fast path: clusters are completely quiescent during serial
-        # sections, so skip TCU iteration entirely (this mirrors the
-        # macro-actor efficiency argument of Section III-D).
+        # Clusters are completely quiescent during serial sections, and
+        # in parallel ones only awake TCUs tick (the macro-actor
+        # efficiency argument of Section III-D).
         if not self.machine.parallel_active:
             return
-        for tick in self._tcu_ticks:
+        self.edges += 1
+        if self.stale:
+            self.stale = False
+            self._awake_ticks = list(compress(self._tcu_ticks, self.awake))
+        for tick in self._awake_ticks:
             tick(cycle)
-
-    def send_occupancy(self) -> int:
-        """Requests queued in this cluster's ICN send port right now
-        (flight-recorder contention snapshots and telemetry read this)."""
-        return len(self.send_queue)
 
     def invalidate_caches(self) -> None:
         self.ro_cache.invalidate()

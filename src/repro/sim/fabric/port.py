@@ -22,8 +22,8 @@ class Port(TimedQueue):
     Same queue semantics as :class:`TimedQueue` (bounded, two-phase
     visibility) plus the fabric metadata tools need: ``name`` for
     wiring maps, ``layer`` for lifecycle/accounting attribution, and an
-    optional ``on_push`` hook fired after each successful push -- the
-    consumer-side wake-up (e.g. activating a cache module in its bank
+    optional ``on_push`` hook fired when a push makes the port non-empty
+    -- the consumer-side wake-up (e.g. activating a cache module in its bank
     macro-actor) without the producer naming the consumer.  Hooks are
     transient wiring: detached for checkpoints and restored by
     :meth:`~repro.sim.fabric.wiring.Fabric.hook`.
@@ -42,7 +42,7 @@ class Port(TimedQueue):
     def push(self, time: int, item: Any) -> bool:
         if TimedQueue.push(self, time, item):
             hook = self.on_push
-            if hook is not None:
+            if hook is not None and len(self._items) == 1:
                 hook()
             return True
         return False
@@ -86,6 +86,8 @@ class Component:
     - ``idle()`` / ``occupancy()`` for macro-actor active sets,
       watchdog diagnostics and telemetry gauges;
     - ``attach(machine)`` at construction time;
+    - ``watch(send_ports, return_ports)`` from the fabric's ``hook``
+      (the ports an ICN drains; rewired after checkpoint restore);
     - the fault-injection hooks ``drop_in_flight`` /
       ``duplicate_in_flight`` / ``delay_in_flight``, which a backend
       without in-flight state may leave as the no-op defaults (the
@@ -107,6 +109,11 @@ class Component:
 
     def idle(self) -> bool:
         return True
+
+    def watch(self, send_ports, return_ports) -> None:
+        """Told which ports this (ICN) component drains: the cluster and
+        master send ports and the cache-module out-queues.  A backend
+        that keeps an active set hooks their ``on_push`` here."""
 
     def occupancy(self) -> Dict[str, Any]:
         return {}

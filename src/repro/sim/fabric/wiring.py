@@ -53,9 +53,13 @@ class Fabric:
         """(Re)attach the ``on_push`` wake-ups: a package entering a
         cache module's input port activates the module in the cache
         bank's active set, without the producer (any ICN backend)
-        naming the bank."""
-        for module in self.machine.cache_modules:
+        naming the bank; a package entering a send port or a module's
+        out-queue puts that port in the ICN's active set."""
+        machine = self.machine
+        for module in machine.cache_modules:
             module.in_queue.on_push = module.wake
+        machine.icn.watch(machine.send_ports,
+                          [module.out_queue for module in machine.cache_modules])
 
     def unhook(self) -> None:
         for port in self.ports:

@@ -32,10 +32,18 @@ live in the shared engine and hold for every backend.
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from bisect import insort
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from repro.sim import packages as P
-from repro.sim.fabric import Component, register_backend
+from repro.sim.fabric import Component, Port, register_backend
+
+
+def _mark_active(active: List[int], index: int) -> None:
+    """``on_push`` hook of a drained port: it holds packages now."""
+    if index not in active:
+        insort(active, index)
 
 
 @register_backend("icn", "mot")
@@ -61,13 +69,37 @@ class Interconnect(Component):
         self.domain = None  # set by the machine
         self.packages_sent = 0
         self.packages_returned = 0
+        # the ports this network drains, and the indexes of those that
+        # hold packages, in port order (see watch)
+        self._send_ports: Sequence[Port] = ()
+        self._return_ports: Sequence[Port] = ()
+        self._sending: List[int] = []
+        self._returning: List[int] = []
+
+    # -- active ports --------------------------------------------------------
+
+    def watch(self, send_ports: Sequence[Port],
+              return_ports: Sequence[Port]) -> None:
+        """Drain ``send_ports`` (cluster and master) and ``return_ports``
+        (cache-module out-queues), visiting only those that hold
+        packages.  Each port's ``on_push`` hook adds it to the active
+        set; the set is rebuilt here from port occupancy, so a restored
+        checkpoint resumes with the right ports."""
+        self._send_ports = send_ports
+        self._return_ports = return_ports
+        self._sending = [i for i, p in enumerate(send_ports) if len(p)]
+        self._returning = [i for i, p in enumerate(return_ports) if len(p)]
+        for i, port in enumerate(send_ports):
+            port.on_push = partial(_mark_active, self._sending, i)
+        for i, port in enumerate(return_ports):
+            port.on_push = partial(_mark_active, self._returning, i)
 
     # -- per-cycle behaviour -------------------------------------------------
 
     def tick(self, cycle: int) -> None:
         machine = self.machine
         if (not self._to_cache and not self._to_cluster
-                and machine.icn_pending == 0):
+                and not self._sending and not self._returning):
             return  # quiet cycle: nothing queued anywhere on the network
         now = machine.scheduler.now
         stats = machine.stats
@@ -94,12 +126,14 @@ class Interconnect(Component):
             machine.note_progress()
 
         # 3. inject new requests from the cluster (and master) send ports
-        for port in machine.send_ports:
+        sending = self._sending
+        still = []
+        for index in sending:
+            port = self._send_ports[index]
             for _ in range(self.width_per_cluster):
                 pkg = port.pop_ready(now)
                 if pkg is None:
                     break
-                machine.icn_pending -= 1
                 pkg.module = self._route(pkg.addr)
                 self.packages_sent += 1
                 stats.inc("icn.send")
@@ -109,14 +143,19 @@ class Interconnect(Component):
                     lifecycle.icn_injected(pkg, now, len(to_cache))
                 if obs is not None:
                     obs.icn_sent(pkg, now, arrival)
+            if len(port):
+                still.append(index)
+        sending[:] = still  # in place: the port hooks hold this list
 
         # 4. drain cache-module responses into the return network
-        for module in machine.cache_modules:
+        returning = self._returning
+        still = []
+        for index in returning:
+            port = self._return_ports[index]
             for _ in range(self.return_width):
-                pkg = module.out_queue.pop_ready(now)
+                pkg = port.pop_ready(now)
                 if pkg is None:
                     break
-                machine.icn_pending -= 1
                 self.packages_returned += 1
                 stats.inc("icn.return")
                 arrival = self._arrival(now, pkg, "return")
@@ -125,6 +164,9 @@ class Interconnect(Component):
                     lifecycle.icn_returned(pkg, now, len(to_cluster))
                 if obs is not None:
                     obs.icn_returned(pkg, now, arrival)
+            if len(port):
+                still.append(index)
+        returning[:] = still
         if obs is not None:
             obs.icn_occupancy(len(to_cache), len(to_cluster))
 

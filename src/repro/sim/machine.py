@@ -89,6 +89,7 @@ class _PluginActor(Actor):
     def notify(self, scheduler, time, arg):
         if self.machine.halted:
             return
+        self.machine.settle()
         self.plugin.sample(self.machine, time)
         interval = self.plugin.interval_cycles * self.machine.config.cluster_period
         scheduler.schedule(interval, self, PRIO_PLUGIN)
@@ -180,9 +181,6 @@ class Machine:
         #: ``dram_ports`` (fault injection / telemetry / power read it)
         self.dram = create_backend("dram", cfg.dram_backend, self)
         self.dram_ports = self.dram.ports
-        #: count of packages sitting in send ports / module out-queues;
-        #: lets the ICN skip its tick entirely during quiet cycles
-        self.icn_pending = 0
         self.icn = create_backend("icn", cfg.resolved_icn_backend(), self)
         self.ps_unit = PrefixSumUnit(self)
         self.spawn_unit = SpawnUnit(self)
@@ -284,13 +282,6 @@ class Machine:
     def note_progress(self) -> None:
         self.last_progress = self.scheduler.now
 
-    def count_instruction(self, u) -> None:
-        # the keys are interned on the MicroOp at decode time; this is
-        # called once per issued instruction on every processor
-        stats = self.stats.counters
-        stats[u.stat_key] += 1
-        stats[u.class_key] += 1
-
     def emit_output(self, text: str) -> None:
         self.output.append(text)
 
@@ -343,6 +334,15 @@ class Machine:
         if self.sampler is not None:
             self.sampler.end_measure(region.spawn_index, resume_time,
                                      self.config.cluster_period)
+
+    def settle(self) -> None:
+        """Charge every sleeping TCU's skipped stall cycles.  Anything
+        that reads counters, the profile or the accounting mid-run
+        (plug-in samples, telemetry frames, diagnostic dumps,
+        checkpoints, the end of the run) calls this first."""
+        for tcu in self.tcus:
+            if tcu.asleep:
+                tcu.settle()
 
     def halt(self, now: int) -> None:
         self.halted = True
@@ -419,6 +419,7 @@ class Machine:
 
     def _finalize(self) -> CycleResult:
         """End-of-run bookkeeping shared by `run` and `run_resilient`."""
+        self.settle()
         for plugin in self.activity_plugins:
             finish = getattr(plugin, "finish", None)
             if finish is not None:

@@ -52,9 +52,7 @@ class MasterTCU(ProcessorBase):
     def _push_package(self, now: int, pkg: P.Package) -> bool:
         queue = self.send_queue
         if queue.push(now, pkg):
-            machine = self.machine
-            machine.icn_pending += 1
-            lifecycle = machine.lifecycle
+            lifecycle = self.machine.lifecycle
             if lifecycle is not None:
                 lifecycle.send_enqueued(pkg, now, len(queue))
             return True
@@ -84,6 +82,22 @@ class MasterTCU(ProcessorBase):
 
     def _on_load_reply(self, pkg: P.Package) -> None:
         self.cache.fill(pkg.addr)
+
+    def _apply_mem_issue(self, now: int, pkg: P.Package, u: MicroOp) -> None:
+        kind = pkg.kind
+        if kind in (P.LOAD, P.RO_FILL, P.PSM):
+            # a load or psm that missed the master cache performs at
+            # issue, like the stores below commit at issue: memory then
+            # holds every older store of the one serial writer and no
+            # younger one.  Performed at the cache module instead, it
+            # would see a younger store to the same address.
+            memory = self.machine.memory
+            if kind == P.PSM:
+                pkg.reply = memory.psm(pkg.addr, to_signed(pkg.value))
+            else:
+                pkg.reply = memory.load(pkg.addr)
+            pkg.performed = True
+        super()._apply_mem_issue(now, pkg, u)
 
     def _on_store_issued(self, pkg: P.Package) -> None:
         # Serial sections have exactly one writer (the Master), so its

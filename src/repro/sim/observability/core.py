@@ -83,15 +83,16 @@ class Observability:
                            track, args={"index": ins.index,
                                         "src_line": ins.src_line})
 
-    def processor_stalled(self, proc, cause: str) -> None:
-        """The issue slot was wasted; ``proc.core.pc`` is the blocked
-        instruction (the profiler charges the cycle to it)."""
+    def processor_stalled(self, proc, cause: str, n: int = 1) -> None:
+        """``n`` issue slots were wasted; ``proc.core.pc`` is the blocked
+        instruction (the profiler charges the cycles to it).  ``n > 1``
+        settles a sleeping TCU's skipped edges (``TCU.settle``)."""
         profiler = self.profiler
         if profiler is not None:
-            profiler.on_stall(proc.core.pc, cause)
+            profiler.on_stall(proc.core.pc, cause, n)
         accounting = self.accounting
         if accounting is not None:
-            accounting.on_stall(proc, cause)
+            accounting.on_stall(proc, cause, n)
 
     # -- package life cycle (TCU issue -> ICN -> cache -> DRAM -> reply) -----
 

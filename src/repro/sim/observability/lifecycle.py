@@ -32,7 +32,9 @@ processor cycle to a stall taxonomy --
 - ``sync_join.*``     -- drain before join (observed), parked TCUs and
   the master's wait-at-join (derived at export)
 
-Every ticking processor attributes exactly one cycle per cycle, so the
+Every ticking processor attributes exactly one cycle per cycle (a
+sleeping TCU's cycles arrive in bulk when it is settled, before any
+stamp that could change their category), so the
 exported tree is exhaustive and exclusive: attributed + derived idle
 sums to ``elapsed_cycles x n_processors`` exactly (the ``exact`` flag
 guards this; cross-domain DVFS retiming clears it).
@@ -169,6 +171,15 @@ class FlightRecorder:
     # -- component hook sites (hot; every call is behind a
     # ``machine.lifecycle is not None`` test in the component) ---------------
 
+    def _settle(self, pkg) -> None:
+        """A stamp can move a sleeping TCU's oldest request to another
+        layer: charge the edges it slept through to the old layer
+        first, as ticking every edge would have."""
+        if pkg.tcu_id >= 0:
+            tcu = self.machine.tcus[pkg.tcu_id]
+            if tcu.asleep:
+                tcu.settle()
+
     def send_enqueued(self, pkg, now: int, depth: int) -> None:
         """The TCU/master pushed ``pkg`` into its ICN send port."""
         rec = [(ST_SQ, now, depth)]
@@ -181,16 +192,19 @@ class FlightRecorder:
     def icn_injected(self, pkg, now: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
+            self._settle(pkg)
             rec.append((ST_ICN_SEND, now, depth))
 
     def cache_enqueued(self, pkg, now: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
+            self._settle(pkg)
             rec.append((ST_CACHE_Q, now, depth))
 
     def cache_dequeued(self, module, pkg, now: int, outcome: str) -> None:
         rec = pkg.rec
         if rec is not None:
+            self._settle(pkg)
             rec.append((_OUTCOME_STAGE[outcome], now, len(module.in_queue)))
 
     def dram_accepted(self, port, module, line: int, now: int,
@@ -208,6 +222,7 @@ class FlightRecorder:
             rec = pkg.rec
             if rec is None:
                 continue
+            self._settle(pkg)
             if info is not None and rec[-1][0] == ST_CACHE_MISS:
                 # only the transaction owner waited for the DRAM accept;
                 # MSHR-merged packages arrived later and would read a
@@ -218,11 +233,13 @@ class FlightRecorder:
     def response_enqueued(self, pkg, now: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
+            self._settle(pkg)
             rec.append((ST_OUT_Q, now, depth))
 
     def icn_returned(self, pkg, now: int, depth: int) -> None:
         rec = pkg.rec
         if rec is not None:
+            self._settle(pkg)
             rec.append((ST_ICN_RET, now, depth))
 
     def replied(self, pkg, now: int) -> None:
@@ -233,6 +250,7 @@ class FlightRecorder:
         rec = pkg.rec
         if rec is None:
             return
+        self._settle(pkg)
         pkg.rec = None
         lst = self._outstanding.get(pkg.tcu_id)
         if lst:
@@ -350,10 +368,6 @@ class FlightRecorder:
             return "unknown"
         return _LAYER_OF.get(lst[0][-1][0], "unknown")
 
-    def outstanding_count(self, tcu_id: int) -> int:
-        lst = self._outstanding.get(tcu_id)
-        return len(lst) if lst else 0
-
     def interval_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-layer queue-wait p50/p95 since the last call (telemetry
         frames embed this; the buffers reset every interval)."""
@@ -470,7 +484,7 @@ class CycleAccountant:
         cells = self.cells
         cells[key] = cells.get(key, 0) + 1
 
-    def on_stall(self, proc, cause: str) -> None:
+    def on_stall(self, proc, cause: str, n: int = 1) -> None:
         cat = _CAUSE_STATIC.get(cause)
         if cat is None:
             # memory-shaped waits: "memory" (scoreboard), "store_ack",
@@ -487,7 +501,7 @@ class CycleAccountant:
         key = (proc.tcu_id,
                -1 if region is None else region.spawn_index, cat)
         cells = self.cells
-        cells[key] = cells.get(key, 0) + 1
+        cells[key] = cells.get(key, 0) + n
 
 
 def _nest(flat: Dict[str, int]) -> Dict[str, Any]:

@@ -49,10 +49,10 @@ class CycleProfiler:
     def on_issue(self, index: int) -> None:
         self.issues[index] += 1
 
-    def on_stall(self, pc: int, cause: str) -> None:
+    def on_stall(self, pc: int, cause: str, n: int = 1) -> None:
         if 0 <= pc < len(self.stalls):
-            self.stalls[pc] += 1
-        self.stall_causes[cause] = self.stall_causes.get(cause, 0) + 1
+            self.stalls[pc] += n
+        self.stall_causes[cause] = self.stall_causes.get(cause, 0) + n
 
     # -- folding -------------------------------------------------------------
 

@@ -28,6 +28,8 @@ class PrefixSumUnit:
         self.requests = 0
 
     def tick(self, cycle: int) -> None:
+        if not self.in_queue._items:
+            return
         machine = self.machine
         now = machine.scheduler.now
         requests: List[P.Package] = self.in_queue.drain_ready(now)

@@ -149,8 +149,8 @@ class DiagnosticDump:
         extras = [f"{key}={proc[key]}"
                   for key in ("state", "pc", "loads", "stores",
                               "pending_regs", "inbox", "wait_load",
-                              "wait_store_ack")
-                  if key in proc]
+                              "wait_store_ack", "asleep", "stall")
+                  if proc.get(key) is not None]
         return f"{name}: " + " ".join(extras)
 
 
@@ -167,6 +167,7 @@ def event_histogram(scheduler) -> Dict[str, int]:
 
 def collect(machine, reason: str) -> DiagnosticDump:
     """Snapshot a machine into a :class:`DiagnosticDump`."""
+    machine.settle()
     scheduler = machine.scheduler
     period = machine.config.cluster_period
     processors = [machine.master.describe_state()]
@@ -174,7 +175,8 @@ def collect(machine, reason: str) -> DiagnosticDump:
 
     icn = dict(machine.icn.occupancy())
     icn["send_ports"] = sum(len(port) for port in machine.send_ports)
-    icn["icn_pending"] = machine.icn_pending
+    icn["icn_pending"] = icn["send_ports"] + sum(
+        len(module.out_queue) for module in machine.cache_modules)
 
     caches: Dict[str, int] = {}
     for module in machine.cache_modules:

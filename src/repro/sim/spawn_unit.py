@@ -92,7 +92,7 @@ class SpawnUnit:
             self.state = PARALLEL
             machine.release_tcus(self.region, self._master_regs)
             self._master_regs = None
-        if self.state != PARALLEL:
+        if self.state != PARALLEL or not self.in_queue._items:
             return
         requests = self.in_queue.drain_ready(now)
         if not requests:

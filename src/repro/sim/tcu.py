@@ -113,6 +113,9 @@ class ProcessorBase:
     #: active spawn region (TCUs set an instance attribute; the Master
     #: always runs the serial section) -- cycle accounting reads this
     region = None
+    #: off its clock domain's tick list until a delivery wakes it (only
+    #: TCUs sleep; see :meth:`TCU.settle`)
+    asleep = False
 
     def __init__(self, machine, tcu_id: int):
         self.machine = machine
@@ -141,6 +144,7 @@ class ProcessorBase:
         self._k_latency = kind + ".stall.latency"
         self._k_store_ack = kind + ".stall.store_ack"
         self._k_drain = kind + ".stall.drain"
+        self._k_fence = kind + ".stall.fence"
         cfg = machine.config
         self._mdu_latency = cfg.mdu_latency
         self._fpu_latency = cfg.fpu_latency
@@ -151,6 +155,8 @@ class ProcessorBase:
     # -- delivery -------------------------------------------------------------
 
     def deliver(self, time: int, item: object) -> None:
+        if self.asleep:
+            self.wake()
         machine = self.machine
         machine._inbox_seq += 1
         heapq.heappush(self.inbox, (time, machine._inbox_seq, item))
@@ -594,6 +600,14 @@ class TCU(ProcessorBase):
         self.cluster = cluster
         self.local_id = local_id
         self.park_state = TCU.PARKED
+        # a parked TCU sleeps until start_region wakes it.  While asleep,
+        # every cluster edge past ``_slept_at`` owes one stall of
+        # ``_sleep_cause``, counted under ``_sleep_key`` (None: parked,
+        # which charges nothing)
+        self.asleep = True
+        self._slept_at = 0
+        self._sleep_cause: Optional[str] = None
+        self._sleep_key: Optional[str] = None
         self.region = None
         # region bounds, cached by start_region so the per-tick
         # containment check is two int compares
@@ -671,9 +685,7 @@ class TCU(ProcessorBase):
     def _push_package(self, now: int, pkg: P.Package) -> bool:
         queue = self.cluster.send_queue
         if queue.push(now, pkg):
-            machine = self.machine
-            machine.icn_pending += 1
-            lifecycle = machine.lifecycle
+            lifecycle = self.machine.lifecycle
             if lifecycle is not None:
                 lifecycle.send_enqueued(pkg, now, len(queue))
             return True
@@ -683,6 +695,8 @@ class TCU(ProcessorBase):
 
     def start_region(self, region, master_regs: List[int]) -> None:
         """Broadcast arrival: copy master registers, reset local state."""
+        if self.asleep:
+            self.wake()
         self.region = region
         self._region_start = region.start
         self._region_join = region.join_index
@@ -702,17 +716,73 @@ class TCU(ProcessorBase):
         if self._blocking_loads and pkg.kind in (P.LOAD, P.RO_FILL, P.PSM):
             # lightweight in-order core: stall until the reply returns
             self.wait_load = True
-
-    def end_region(self) -> None:
-        self.region = None
-        self.active = False
-        self.park_state = TCU.PARKED
+        # the next tick could only stall on the reply: sleep already
+        if not self.inbox:
+            if self.wait_store_ack:
+                self._sleep("store_ack", self._k_store_ack)
+            elif self.wait_load:
+                self._sleep("memory", self._k_memory)
 
     def describe_state(self) -> dict:
         d = super().describe_state()
         d["state"] = ("running", "draining", "parked")[self.park_state]
         d["wait_load"] = self.wait_load
+        d["asleep"] = self.asleep
+        d["stall"] = self._sleep_cause if self.asleep else None
         return d
+
+    # -- activity-driven ticking ----------------------------------------------------
+    #
+    # A TCU whose next tick would be a stall only a delivery can end
+    # (parked, draining, wait_store_ack, wait_load, a scoreboard wait,
+    # a fence with memory outstanding) and whose inbox is empty leaves
+    # its cluster's tick list.  Nothing about it changes until a
+    # delivery, so every skipped edge would have charged the same cause
+    # at the same pc; settle() charges them in one step.
+
+    def _sleep(self, cause: Optional[str], key: Optional[str]) -> None:
+        """Leave the tick list (callers check that no delivery is queued):
+        each skipped edge will owe one ``cause`` stall, counted under
+        ``key`` (None charges nothing)."""
+        self.asleep = True
+        self._sleep_cause = cause
+        self._sleep_key = key
+        cluster = self.cluster
+        self._slept_at = cluster.edges
+        cluster.awake[self.local_id] = False
+        cluster.stale = True
+
+    def wake(self) -> None:
+        self.settle()
+        self.asleep = False
+        cluster = self.cluster
+        cluster.awake[self.local_id] = True
+        cluster.stale = True
+
+    def settle(self) -> None:
+        """Charge the stall cycles skipped since the TCU fell asleep (or
+        was last settled) to the counters, the profiler and the
+        accountant -- exactly what ticking every edge would have."""
+        edges = self.cluster.edges
+        n = edges - self._slept_at
+        if not n:
+            return
+        self._slept_at = edges
+        key = self._sleep_key
+        if key is None:
+            return
+        self._counters[key] += n
+        obs = self.machine.obs
+        if obs is not None:
+            obs.processor_stalled(self, self._sleep_cause, n)
+
+    def _h_fence(self, now: int, u: MicroOp) -> None:
+        if self.outstanding_loads or self.outstanding_stores:
+            self._stall("fence")
+            if not self.inbox:
+                self._sleep("fence", self._k_fence)
+            return
+        super()._h_fence(now, u)
 
     def _issue_getvt(self, now: int, u: MicroOp) -> None:
         self._count_issue(u)
@@ -735,6 +805,10 @@ class TCU(ProcessorBase):
             # drain outstanding memory operations, then park (the memory
             # model orders all operations before the end of the spawn)
             self.park_state = TCU.DRAINING
+            if not self.inbox and (self.outstanding_loads
+                                   or self.outstanding_stores
+                                   or self.pending_regs):
+                self._sleep("drain", self._k_drain)
             return
         self.core.pc += 1
 
@@ -852,27 +926,33 @@ class TCU(ProcessorBase):
             self._drain_inbox(now)
         state = self.park_state
         if state != TCU.RUNNING:
-            if state == TCU.PARKED:
-                return
-            # DRAINING
-            if (not self.outstanding_loads and not self.outstanding_stores
-                    and not self.pending_regs):
+            if state == TCU.DRAINING:
+                if (self.outstanding_loads or self.outstanding_stores
+                        or self.pending_regs):
+                    self._stall("drain")
+                    if not self.inbox:
+                        self._sleep("drain", self._k_drain)
+                    return
                 self.park_state = TCU.PARKED
                 self.active = False
                 self.machine.spawn_unit.tcu_parked()
-            else:
-                self._stall("drain")
+            if not self.inbox:
+                self._sleep(None, None)
             return
         machine = self.machine
         if self.wait_store_ack:
             self._counters[self._k_store_ack] += 1
             if machine.obs is not None:
                 machine.obs.processor_stalled(self, "store_ack")
+            if not self.inbox:
+                self._sleep("store_ack", self._k_store_ack)
             return
         if self.wait_load:
             self._counters[self._k_memory] += 1
             if machine.obs is not None:
                 machine.obs.processor_stalled(self, "memory")
+            if not self.inbox:
+                self._sleep("memory", self._k_memory)
             return
         if self.stall_until > now:
             self._counters[self._k_latency] += 1
@@ -889,17 +969,13 @@ class TCU(ProcessorBase):
         pending = self.pending_regs
         if pending:
             wr = u.wr
-            if wr >= 0 and wr in pending:
+            if (wr >= 0 and wr in pending) or not pending.isdisjoint(u.reads):
                 self._counters[self._k_memory] += 1
                 if machine.obs is not None:
                     machine.obs.processor_stalled(self, "memory")
+                if not self.inbox:
+                    self._sleep("memory", self._k_memory)
                 return
-            for r in u.reads:
-                if r in pending:
-                    self._counters[self._k_memory] += 1
-                    if machine.obs is not None:
-                        machine.obs.processor_stalled(self, "memory")
-                    return
         self._handlers[u.code](now, u)
 
     def _check_escape(self, pc: int) -> None:

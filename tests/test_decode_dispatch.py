@@ -17,7 +17,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_asm_cycle, run_asm_functional
@@ -453,6 +453,8 @@ def _gen_program(rng: random.Random, with_spawn: bool) -> str:
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), with_spawn=st.booleans())
+# a younger Master store once overtook an older load to its address
+@example(seed=87, with_spawn=False)
 def test_differential_functional_vs_cycle(seed, with_spawn):
     src = _gen_program(random.Random(seed), with_spawn)
     res_f = FunctionalSimulator(assemble(src), max_instructions=500_000).run()

@@ -8,8 +8,9 @@ both rules at the assembly level (precise control) and at the XMTC level
 
 import pytest
 
-from conftest import run_asm_cycle, run_xmtc_cycle, opts
-from repro.sim.config import tiny
+from conftest import (opts, run_asm_cycle, run_xmtc_cycle,
+                      run_xmtc_functional)
+from repro.sim.config import fpga64, tiny
 from repro.workloads import programs as W
 
 
@@ -66,6 +67,73 @@ class TestRule1SameSourceSameDestination:
             halt
         """)
         assert res.read_global("r") == 42
+
+
+class TestMasterSameAddressOrder:
+    """Serial code has one writer, the Master: its loads and stores to
+    one address keep program order (RAW, WAR, WAW) on every config,
+    and the cycle model agrees with the functional spec."""
+
+    PATTERNS = {
+        "raw": ("a[1] = 7; t = a[1];", 7),
+        "war": ("t = a[1]; a[1] = 7;", 0),
+        "waw": ("a[1] = 5; a[1] = 7; t = a[1];", 7),
+        "psm_raw": ("a[1] = 7; t = 5; psm(t, a[1]);", 7),
+        "psm_war": ("t = 5; psm(t, a[1]); a[1] = 7;", 0),
+    }
+
+    @pytest.mark.parametrize("config", [tiny, fpga64],
+                             ids=["tiny", "fpga64"])
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_xmtc_pattern(self, config, pattern):
+        body, expected = self.PATTERNS[pattern]
+        src = ("int a[4];\nint main() {\n    int t;\n    "
+               f"{body}\n    printf(\"%d\", t);\n    return 0;\n}}\n")
+        _, spec = run_xmtc_functional(src)
+        _, res = run_xmtc_cycle(src, config=config())
+        assert spec.output == res.output == str(expected)
+        assert spec.memory == res.memory
+
+    @pytest.mark.parametrize("config", [tiny, fpga64],
+                             ids=["tiny", "fpga64"])
+    def test_younger_store_does_not_overtake_missing_load(self, config):
+        prog, res = run_asm_cycle("""
+            .data
+        a:  .word 0
+        r:  .word 5
+            .text
+        main:
+            la   $t0, a
+            li   $t1, 7
+            lw   $t2, 0($t0)
+            sw   $t1, 0($t0)
+            la   $t3, r
+            sw   $t2, 0($t3)
+            halt
+        """, config=config())
+        assert res.read_global("r") == 0
+        assert res.read_global("a") == 7
+
+    @pytest.mark.parametrize("config", [tiny, fpga64],
+                             ids=["tiny", "fpga64"])
+    def test_younger_store_does_not_overtake_psm(self, config):
+        prog, res = run_asm_cycle("""
+            .data
+        a:  .word 0
+        r:  .word 9
+            .text
+        main:
+            la   $t0, a
+            li   $t1, 5
+            psm  $t1, 0($t0)
+            li   $t2, 100
+            sw   $t2, 0($t0)
+            la   $t3, r
+            sw   $t1, 0($t3)
+            halt
+        """, config=config())
+        assert res.read_global("r") == 0
+        assert res.read_global("a") == 100
 
 
 class TestRule2PrefixSumOrdering:
