@@ -52,17 +52,17 @@ from repro.sim.campaign.requests import (
 )
 from repro.sim.campaign.worker import run_attempt, worker_entry
 from repro.sim.config import XMTConfig
+from repro.sim.observability.aggregate import SCHEMA_RESULT
 from repro.sim.observability.ledger import (
+    MANIFEST_FILE,
     Ledger,
     RunRecord,
     canonical_json,
-    load_manifest,
+    load_artifact,
     load_run,
     sha256_text,
 )
 from repro.sim.observability.telemetry import SCHEMA_CAMPAIGN_TELEMETRY
-
-SCHEMA_RESULT = "xmt-campaign-result/1"
 
 #: every run ends as exactly one of these
 OUTCOME_STATUSES = ("ok", "cached", "failed", "timeout", "gave-up")
@@ -402,9 +402,9 @@ class CampaignEngine:
         if not os.path.isdir(runs_dir):
             return index
         for run_id in sorted(os.listdir(runs_dir)):
-            manifest_path = os.path.join(runs_dir, run_id, "manifest.json")
+            manifest_path = os.path.join(runs_dir, run_id, MANIFEST_FILE)
             try:
-                manifest = load_manifest(manifest_path)
+                manifest = load_artifact(manifest_path, "manifest")
             except (OSError, ValueError, json.JSONDecodeError):
                 continue
             if manifest.get("fault"):
@@ -505,14 +505,11 @@ class CampaignEngine:
             manifest = payload["manifest"]
             output = payload.get("output", "")
             if self.ledger is not None:
-                record = self.ledger.record(manifest,
-                                            payload.get("metrics"),
-                                            payload.get("profile"))
+                record = self.ledger.record(manifest, payload["payloads"])
             else:
                 record = RunRecord(run_id=manifest["run_id"],
                                    manifest=manifest,
-                                   _metrics=payload.get("metrics"),
-                                   _profile=payload.get("profile"))
+                                   payloads=payload["payloads"])
         wall_seconds = None
         if record is not None:
             run_id = record.run_id

@@ -143,8 +143,7 @@ def run_attempt(prepared: PreparedRun, budgets: RunBudgets, attempt: int,
         "attempt": attempt,
         "worker_pid": os.getpid(),
         "manifest": manifest,
-        "metrics": artifacts.metrics,
-        "profile": artifacts.profile,
+        "payloads": artifacts.payloads,
         "output": getattr(artifacts.result, "output", "") or "",
     }
     if sanitizer_summary is not None:

@@ -19,8 +19,9 @@ Five cooperating pieces:
   the top-down tree, hop latency distributions, contention hot spots,
   and the two-run layer-attribution diff;
 - :mod:`~repro.sim.observability.ledger` -- versioned run manifests
-  (``xmtsim-run/1``) bundled with metrics/profile exports in a
-  content-addressed run ledger (``xmtsim --ledger``);
+  (``xmtsim-run/1``) bundled with the other run artifacts in a
+  content-addressed run ledger (``xmtsim --ledger``); its
+  ``ARTIFACTS`` table writes, loads and schema-checks every artifact;
 - :mod:`~repro.sim.observability.compare` -- differential layer over
   the ledger: metric/profile/spawn deltas, sweep tables and the
   ``xmt-compare check`` perf-regression gate;
@@ -37,7 +38,6 @@ artifacts.
 from repro.sim.observability.compare import (
     GateFailure,
     RunComparison,
-    SchemaError,
     check_regressions,
     compare_runs,
     diff_profiles,
@@ -63,13 +63,17 @@ from repro.sim.observability.explain import (
     responsible_layer,
 )
 from repro.sim.observability.ledger import (
+    ARTIFACTS,
     Ledger,
     RunArtifacts,
     RunRecord,
+    SchemaError,
     build_manifest,
+    export_payloads,
     instrumented_run,
-    load_manifest,
+    load_artifact,
     load_run,
+    write_json,
     write_run_dir,
 )
 from repro.sim.observability.lifecycle import (
@@ -77,25 +81,16 @@ from repro.sim.observability.lifecycle import (
     FlightRecorder,
     export_accounting,
     hop_percentiles,
-    load_accounting,
-    load_lifecycle,
     read_lifecycle_stream,
-    write_accounting,
-    write_lifecycle,
 )
 from repro.sim.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
     export_metrics,
-    load_metrics,
     write_metrics,
 )
-from repro.sim.observability.profiler import (
-    CycleProfiler,
-    load_profile,
-    render_profile,
-)
+from repro.sim.observability.profiler import CycleProfiler, render_profile
 from repro.sim.observability.telemetry import (
     JsonlSink,
     SocketPublisher,
@@ -113,17 +108,18 @@ __all__ = [
     "MetricsRegistry",
     "export_metrics",
     "write_metrics",
-    "load_metrics",
     "CycleProfiler",
-    "load_profile",
     "render_profile",
+    "ARTIFACTS",
     "Ledger",
     "RunArtifacts",
     "RunRecord",
     "build_manifest",
+    "export_payloads",
     "instrumented_run",
-    "load_manifest",
+    "load_artifact",
     "load_run",
+    "write_json",
     "write_run_dir",
     "GateFailure",
     "RunComparison",
@@ -147,10 +143,6 @@ __all__ = [
     "FlightRecorder",
     "CycleAccountant",
     "export_accounting",
-    "write_accounting",
-    "load_accounting",
-    "write_lifecycle",
-    "load_lifecycle",
     "read_lifecycle_stream",
     "hop_percentiles",
     "AccountingDelta",

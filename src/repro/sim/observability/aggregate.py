@@ -31,7 +31,7 @@ from repro.sim.observability.telemetry import (
 )
 
 #: outcome lines streamed by the campaign engine (``--results``);
-#: literal here so this module never imports the campaign package
+#: defined here so this module never imports the campaign package
 SCHEMA_RESULT = "xmt-campaign-result/1"
 
 SCHEMA_TOP_REPORT = "xmt-top-report/1"

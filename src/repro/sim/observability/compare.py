@@ -34,24 +34,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.sim.observability.explain import (AccountingDelta,
                                              diff_accounting,
                                              responsible_layer)
-from repro.sim.observability.ledger import SCHEMA_RUN, RunRecord
+from repro.sim.observability.ledger import (SCHEMA_METRICS,
+                                            SCHEMA_PROFILE, SCHEMA_RUN,
+                                            RunRecord, require_schema)
 
-SCHEMA_METRICS = "xmtsim-metrics/1"
-SCHEMA_PROFILE = "xmt-prof/1"
 SCHEMA_COMPARISON = "xmt-compare/1"
-
-
-class SchemaError(ValueError):
-    """A payload does not carry the schema this tool understands."""
-
-
-def require_schema(payload: Any, expected: str, what: str) -> None:
-    got = payload.get("schema") if isinstance(payload, dict) else None
-    if got != expected:
-        raise SchemaError(
-            f"{what}: schema {got!r} is not supported "
-            f"(expected {expected!r}); re-export it with this toolchain "
-            f"or diff with the matching xmt-compare version")
 
 
 # -- flattening -------------------------------------------------------------
@@ -436,17 +423,17 @@ def compare_runs(a: RunRecord, b: RunRecord,
     require_schema(b.manifest, SCHEMA_RUN, "manifest (run B)")
     comparison = RunComparison(run_a=a.manifest, run_b=b.manifest,
                                threshold=threshold)
-    metrics_a, metrics_b = a.metrics(), b.metrics()
+    metrics_a, metrics_b = a.artifact("metrics"), b.artifact("metrics")
     if metrics_a is not None and metrics_b is not None:
         comparison.metric_deltas = diff_scalars(
             flatten_metrics(metrics_a), flatten_metrics(metrics_b),
             threshold)
         comparison.spawn_deltas = diff_spawn_regions(metrics_a, metrics_b)
-    profile_a, profile_b = a.profile(), b.profile()
+    profile_a, profile_b = a.artifact("profile"), b.artifact("profile")
     if profile_a is not None and profile_b is not None:
         comparison.line_deltas = diff_profiles(profile_a, profile_b,
                                                threshold)
-    acct_a, acct_b = a.accounting(), b.accounting()
+    acct_a, acct_b = a.artifact("accounting"), b.artifact("accounting")
     if acct_a is not None and acct_b is not None:
         comparison.accounting_deltas = diff_accounting(acct_a, acct_b)
     return comparison

@@ -15,13 +15,19 @@ exactly was simulated --
   involved), the repository git revision, the toolchain version,
 - the outcome: cycle count, instruction count, host wall seconds
 
--- and the manifest is bundled with the run's metrics
-(``xmtsim-metrics/1``) and cycle-profile (``xmt-prof/1``) exports into
-a **content-addressed ledger directory**::
+-- and the manifest is bundled with the run's other artifacts into a
+**content-addressed ledger directory**::
 
-    <ledger>/runs/<run_id>/manifest.json
-                           metrics.json
-                           profile.json
+    <ledger>/runs/<run_id>/manifest.json     xmtsim-run/1
+                           metrics.json      xmtsim-metrics/1
+                           profile.json      xmt-prof/1
+                           accounting.json   xmt-accounting/1  (optional)
+                           lifecycle.json    xmt-lifecycle/1   (optional)
+                           power.json        xmt-power/1       (optional)
+
+:data:`ARTIFACTS` is the one table of that layout: every artifact is
+written with :func:`write_json`, loaded with :func:`load_artifact` and
+schema-checked with :func:`require_schema` against it.
 
 ``run_id`` is a truncated SHA-256 over the deterministic identity of
 the run (program hash, config hash, seed, label, cycle count), so
@@ -41,9 +47,71 @@ import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import IO, Any, Callable, Dict, List, NamedTuple, Optional
 
 SCHEMA_RUN = "xmtsim-run/1"
+SCHEMA_METRICS = "xmtsim-metrics/1"
+SCHEMA_PROFILE = "xmt-prof/1"
+SCHEMA_ACCOUNTING = "xmt-accounting/1"
+SCHEMA_LIFECYCLE = "xmt-lifecycle/1"
+SCHEMA_POWER = "xmt-power/1"
+
+
+class Artifact(NamedTuple):
+    file: str
+    schema: str
+
+
+#: The run bundle: artifact name -> file in the run directory and the
+#: schema its payload carries.  The one place the layout is decided.
+ARTIFACTS: Dict[str, Artifact] = {
+    "manifest": Artifact("manifest.json", SCHEMA_RUN),
+    "metrics": Artifact("metrics.json", SCHEMA_METRICS),
+    "profile": Artifact("profile.json", SCHEMA_PROFILE),
+    "accounting": Artifact("accounting.json", SCHEMA_ACCOUNTING),
+    "lifecycle": Artifact("lifecycle.json", SCHEMA_LIFECYCLE),
+    "power": Artifact("power.json", SCHEMA_POWER),
+}
+MANIFEST_FILE = ARTIFACTS["manifest"].file
+
+
+class SchemaError(ValueError):
+    """A payload does not carry the schema this tool understands."""
+
+
+def require_schema(payload: Any, expected: str, what: str) -> None:
+    """The one schema check: ``payload`` must be a JSON object whose
+    ``schema`` field is ``expected``."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what}: not a JSON object (got a "
+                          f"{type(payload).__name__}; expected schema "
+                          f"{expected!r})")
+    got = payload.get("schema")
+    if got != expected:
+        raise SchemaError(
+            f"{what}: schema {got!r} is not supported "
+            f"(expected {expected!r}); re-export it with this toolchain")
+
+
+def load_artifact(path: str, name: str) -> Dict[str, Any]:
+    """Load the ``name`` artifact (a key of :data:`ARTIFACTS`) from
+    ``path``, checking its schema."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    require_schema(payload, ARTIFACTS[name].schema, path)
+    return payload
+
+
+def write_json(payload: Any, fh: IO[str]) -> None:
+    """The one artifact format: sorted keys, two-space indent, newline."""
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def write_artifact(path: str, payload: Any) -> None:
+    with open(path, "w") as fh:
+        write_json(payload, fh)
+
 
 #: manifest fields excluded from the content address (host-dependent
 #: or informational -- two runs differing only here are the same run).
@@ -187,29 +255,17 @@ def fingerprint_of_manifest(manifest: Dict[str, Any]) -> str:
         inputs=manifest.get("inputs") or {})
 
 
-def load_manifest(path: str) -> Dict[str, Any]:
-    """Load a manifest file, checking the ``xmtsim-run/1`` schema."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_RUN:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an xmtsim run manifest "
-                         f"(schema={got!r}, expected {SCHEMA_RUN!r})")
-    return data
-
-
 @dataclass
 class RunRecord:
-    """One ledger entry: the manifest plus lazily loaded payloads."""
+    """One ledger entry: the manifest plus lazily loaded artifacts."""
 
     run_id: str
     manifest: Dict[str, Any]
     path: Optional[str] = None
-    #: in-memory payloads (set for fresh runs not yet on disk)
-    _metrics: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _profile: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _accounting: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _lifecycle: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: artifact name -> payload (fresh runs carry theirs in memory;
+    #: recorded runs fill it from ``path`` on first access)
+    payloads: Dict[str, Dict[str, Any]] = field(default_factory=dict,
+                                                repr=False)
 
     @property
     def cycles(self) -> int:
@@ -222,65 +278,18 @@ class RunRecord:
     def config_value(self, key: str) -> Any:
         return self.manifest["config"].get(key)
 
-    def metrics(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmtsim-metrics/1`` payload, if recorded."""
-        if self._metrics is not None:
-            return self._metrics
-        if self.path is not None:
-            from repro.sim.observability.metrics import load_metrics
-
-            p = os.path.join(self.path, "metrics.json")
-            if os.path.exists(p):
-                self._metrics = load_metrics(p)
-        return self._metrics
-
-    def profile(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-prof/1`` payload, if recorded."""
-        if self._profile is not None:
-            return self._profile
-        if self.path is not None:
-            from repro.sim.observability.profiler import load_profile
-
-            p = os.path.join(self.path, "profile.json")
-            if os.path.exists(p):
-                self._profile = load_profile(p)
-        return self._profile
-
-    def accounting(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-accounting/1`` payload, if recorded."""
-        if self._accounting is not None:
-            return self._accounting
-        if self.path is not None:
-            from repro.sim.observability.lifecycle import load_accounting
-
-            p = os.path.join(self.path, "accounting.json")
-            if os.path.exists(p):
-                self._accounting = load_accounting(p)
-        return self._accounting
-
-    def lifecycle(self) -> Optional[Dict[str, Any]]:
-        """The run's ``xmt-lifecycle/1`` summary, if recorded."""
-        if self._lifecycle is not None:
-            return self._lifecycle
-        if self.path is not None:
-            from repro.sim.observability.lifecycle import load_lifecycle
-
-            p = os.path.join(self.path, "lifecycle.json")
-            if os.path.exists(p):
-                self._lifecycle = load_lifecycle(p)
-        return self._lifecycle
-
     def artifact(self, name: str) -> Optional[Dict[str, Any]]:
-        """Any extra JSON artifact in the run directory (``power``,
-        ...); extras never enter the manifest, so they cannot perturb
-        the run id."""
-        if self.path is None:
-            return None
-        p = os.path.join(self.path, f"{name}.json")
-        if not os.path.exists(p):
-            return None
-        with open(p) as fh:
-            return json.load(fh)
+        """The run's ``name`` artifact (a key of :data:`ARTIFACTS`),
+        schema-checked, or ``None`` when the run did not record it."""
+        payload = self.payloads.get(name)
+        if payload is not None:
+            require_schema(payload, ARTIFACTS[name].schema,
+                           f"run {self.run_id} {name}")
+        elif self.path is not None:
+            path = os.path.join(self.path, ARTIFACTS[name].file)
+            if os.path.exists(path):
+                payload = self.payloads[name] = load_artifact(path, name)
+        return payload
 
 
 def load_run(path: str) -> RunRecord:
@@ -291,51 +300,37 @@ def load_run(path: str) -> RunRecord:
     baseline is just such a directory under version control).
     """
     if os.path.isdir(path):
-        manifest_path = os.path.join(path, "manifest.json")
+        manifest_path = os.path.join(path, MANIFEST_FILE)
     else:
         manifest_path = path
         path = os.path.dirname(path) or "."
-    manifest = load_manifest(manifest_path)
+    manifest = load_artifact(manifest_path, "manifest")
     return RunRecord(run_id=manifest.get("run_id") or
                      manifest_run_id(manifest),
                      manifest=manifest, path=path)
 
 
 def write_run_dir(run_dir: str, manifest: Dict[str, Any],
-                  metrics: Optional[Dict[str, Any]] = None,
-                  profile: Optional[Dict[str, Any]] = None,
-                  accounting: Optional[Dict[str, Any]] = None,
-                  extras: Optional[Dict[str, Dict[str, Any]]] = None
+                  payloads: Optional[Dict[str, Dict[str, Any]]] = None
                   ) -> RunRecord:
-    """Write one run-record directory (manifest + optional payloads).
+    """Write one run-record directory: the manifest plus ``payloads``
+    (artifact name -> payload), each schema-checked and written to its
+    :data:`ARTIFACTS` file.
 
     The primitive under :meth:`Ledger.record`; also used directly by
     ``xmt-compare check --update-baseline`` to refresh a committed
-    baseline directory in place.  ``extras`` maps artifact names to
-    payloads written as ``<name>.json`` next to the manifest (e.g.
-    ``lifecycle``, ``power``); none of the optional payloads enter the
-    manifest, so they are non-identity by construction.
+    baseline directory in place.  Payloads never enter the manifest, so
+    they are non-identity by construction.
     """
     run_id = manifest.get("run_id") or manifest_run_id(manifest)
     manifest = dict(manifest, run_id=run_id)
+    payloads = dict(payloads or {})
     os.makedirs(run_dir, exist_ok=True)
-    payloads = [("manifest.json", manifest)]
-    if metrics is not None:
-        payloads.append(("metrics.json", metrics))
-    if profile is not None:
-        payloads.append(("profile.json", profile))
-    if accounting is not None:
-        payloads.append(("accounting.json", accounting))
-    for name, payload in (extras or {}).items():
-        payloads.append((f"{name}.json", payload))
-    for name, payload in payloads:
-        with open(os.path.join(run_dir, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    for name, payload in {"manifest": manifest, **payloads}.items():
+        require_schema(payload, ARTIFACTS[name].schema, name)
+        write_artifact(os.path.join(run_dir, ARTIFACTS[name].file), payload)
     return RunRecord(run_id=run_id, manifest=manifest, path=run_dir,
-                     _metrics=metrics, _profile=profile,
-                     _accounting=accounting,
-                     _lifecycle=(extras or {}).get("lifecycle"))
+                     payloads=payloads)
 
 
 class Ledger:
@@ -373,17 +368,14 @@ class Ledger:
     # -- writing -------------------------------------------------------------
 
     def record(self, manifest: Dict[str, Any],
-               metrics: Optional[Dict[str, Any]] = None,
-               profile: Optional[Dict[str, Any]] = None,
-               accounting: Optional[Dict[str, Any]] = None,
-               extras: Optional[Dict[str, Dict[str, Any]]] = None
+               payloads: Optional[Dict[str, Dict[str, Any]]] = None
                ) -> RunRecord:
-        """Persist one run; returns its record.  Idempotent: recording
-        a bit-identical run rewrites the same directory."""
+        """Persist one run and its artifact ``payloads``; returns its
+        record.  Idempotent: recording a bit-identical run rewrites the
+        same directory."""
         run_id = manifest.get("run_id") or manifest_run_id(manifest)
         record = write_run_dir(self._run_dir(run_id),
-                               dict(manifest, run_id=run_id),
-                               metrics, profile, accounting, extras)
+                               dict(manifest, run_id=run_id), payloads)
         self._index_add(record.manifest)
         return record
 
@@ -416,9 +408,9 @@ class Ledger:
         if os.path.isdir(self.runs_dir):
             for run_id in sorted(os.listdir(self.runs_dir)):
                 manifest_path = os.path.join(self.runs_dir, run_id,
-                                             "manifest.json")
+                                             MANIFEST_FILE)
                 try:
-                    manifest = load_manifest(manifest_path)
+                    manifest = load_artifact(manifest_path, "manifest")
                 except (OSError, ValueError, json.JSONDecodeError):
                     continue
                 lines.append(canonical_json(self._index_line(manifest)))
@@ -456,9 +448,7 @@ class Ledger:
         return mapping
 
     def record_artifacts(self, artifacts: "RunArtifacts") -> RunRecord:
-        return self.record(artifacts.manifest, artifacts.metrics,
-                           artifacts.profile, artifacts.accounting,
-                           artifacts.extras or None)
+        return self.record(artifacts.manifest, artifacts.payloads)
 
     # -- reading -------------------------------------------------------------
 
@@ -469,7 +459,7 @@ class Ledger:
         records = []
         for run_id in sorted(os.listdir(self.runs_dir)):
             manifest_path = os.path.join(self._run_dir(run_id),
-                                         "manifest.json")
+                                         MANIFEST_FILE)
             if os.path.exists(manifest_path):
                 records.append(load_run(self._run_dir(run_id)))
         records.sort(key=lambda r: r.manifest.get("created_unix") or 0)
@@ -508,24 +498,16 @@ class RunArtifacts:
     """Everything one instrumented run produced, pre-persistence."""
 
     manifest: Dict[str, Any]
-    metrics: Dict[str, Any]
-    profile: Dict[str, Any]
     result: Any  # CycleResult
-    #: ``xmt-accounting/1`` payload when cycle accounting was enabled
-    accounting: Optional[Dict[str, Any]] = None
-    #: extra artifacts recorded as ``<name>.json`` (``lifecycle``,
-    #: ``power``, ...); never part of the manifest / run identity
-    extras: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: artifact name -> payload (``metrics``, ``profile``, and
+    #: ``accounting``/``lifecycle``/``power`` when armed); never part
+    #: of the manifest / run identity
+    payloads: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def as_record(self) -> RunRecord:
         return RunRecord(run_id=self.manifest["run_id"],
                          manifest=self.manifest,
-                         _metrics=self.metrics, _profile=self.profile,
-                         _accounting=self.accounting,
-                         _lifecycle=self.extras.get("lifecycle"))
-
-
-SCHEMA_POWER = "xmt-power/1"
+                         payloads=dict(self.payloads))
 
 
 def power_profile_payload(plugin) -> Dict[str, Any]:
@@ -553,6 +535,30 @@ def power_profile_payload(plugin) -> Dict[str, Any]:
     return payload
 
 
+def export_payloads(machine, obs, *, cycles: Optional[int] = None,
+                    power=None) -> Dict[str, Dict[str, Any]]:
+    """Export, once each, the artifacts ``obs`` collected on a finished
+    ``machine`` (plus the ``power`` plug-in's profile): artifact name ->
+    payload, ready for :meth:`Ledger.record` and the ``xmtsim
+    --*-out`` files.  ``cycles`` defaults to the machine's halt time."""
+    from repro.sim.observability.lifecycle import export_accounting
+    from repro.sim.observability.metrics import export_metrics
+
+    payloads: Dict[str, Dict[str, Any]] = {}
+    if obs.metrics is not None:
+        payloads["metrics"] = export_metrics(machine)
+    if obs.profiler is not None:
+        payloads["profile"] = obs.profiler.to_data()
+    if obs.accounting is not None:
+        payloads["accounting"] = export_accounting(
+            machine, obs.accounting, cycles=cycles)
+    if obs.lifecycle is not None:
+        payloads["lifecycle"] = obs.lifecycle.to_data()
+    if power is not None:
+        payloads["power"] = power_profile_payload(power)
+    return payloads
+
+
 def instrumented_run(program, config, *, source: Optional[str] = None,
                      program_path: Optional[str] = None,
                      seed: Optional[int] = None,
@@ -569,7 +575,7 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
 
     The workhorse behind ``xmt-compare sweep``/``check`` and the
     campaign engine: one call per grid point, each returning a
-    manifest/metrics/profile bundle that :meth:`Ledger.record_artifacts`
+    manifest plus artifact payloads that :meth:`Ledger.record_artifacts`
     persists.  ``wall_limit_s``/``max_events`` are enforced by the
     watchdog (raising ``SimulationBudgetExceeded``), giving campaign
     workers hard per-run budgets.  ``telemetry`` takes an un-attached
@@ -581,8 +587,8 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
     ``accounting=True`` arms a
     :class:`~repro.sim.observability.lifecycle.CycleAccountant` (and a
     default :class:`~repro.sim.observability.lifecycle.FlightRecorder`,
-    so memory stalls split by layer) and fills
-    :attr:`RunArtifacts.accounting`/``extras["lifecycle"]``.  Pass
+    so memory stalls split by layer) and adds the ``accounting`` and
+    ``lifecycle`` payloads.  Pass
     ``recorder`` to control sampling, or alone for lifecycles without
     accounting.  ``power`` takes a
     :class:`~repro.power.dtm.PowerThermalPlugin`; its profile is
@@ -590,10 +596,9 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
     """
     from repro.sim.machine import Simulator
     from repro.sim.observability.core import Observability
-    from repro.sim.observability.lifecycle import (
-        CycleAccountant, FlightRecorder, export_accounting)
-    from repro.sim.observability.metrics import MetricsRegistry, \
-        export_metrics
+    from repro.sim.observability.lifecycle import (CycleAccountant,
+                                                   FlightRecorder)
+    from repro.sim.observability.metrics import MetricsRegistry
     from repro.sim.observability.profiler import CycleProfiler
 
     accountant = CycleAccountant() if accounting else None
@@ -622,16 +627,7 @@ def instrumented_run(program, config, *, source: Optional[str] = None,
         instructions=result.instructions, wall_seconds=wall,
         source=source, program_path=program_path, seed=seed, label=label,
         inputs=inputs, extra=extra)
-    extras: Dict[str, Dict[str, Any]] = {}
-    if recorder is not None:
-        extras["lifecycle"] = recorder.to_data()
-    if power is not None:
-        extras["power"] = power_profile_payload(power)
-    return RunArtifacts(manifest=manifest,
-                        metrics=export_metrics(sim.machine),
-                        profile=obs.profiler.to_data(),
-                        result=result,
-                        accounting=(export_accounting(
-                            sim.machine, accountant, cycles=result.cycles)
-                            if accountant is not None else None),
-                        extras=extras)
+    return RunArtifacts(manifest=manifest, result=result,
+                        payloads=export_payloads(
+                            sim.machine, obs, cycles=result.cycles,
+                            power=power))

@@ -47,10 +47,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List, Optional, Tuple
 
+from repro.sim.observability.ledger import SCHEMA_ACCOUNTING, SCHEMA_LIFECYCLE
 from repro.sim.observability.metrics import Histogram, histogram_percentile
 
-SCHEMA_LIFECYCLE = "xmt-lifecycle/1"
-SCHEMA_ACCOUNTING = "xmt-accounting/1"
 
 # -- lifecycle stage codes (stamped into Package.rec) ------------------------
 
@@ -409,21 +408,6 @@ class FlightRecorder:
         }
 
 
-def write_lifecycle(recorder: FlightRecorder, fh: IO[str]) -> None:
-    json.dump(recorder.to_data(), fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def load_lifecycle(path: str) -> Dict[str, Any]:
-    """Load a lifecycle summary export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_LIFECYCLE:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not a lifecycle export (schema={got!r})")
-    return data
-
-
 def read_lifecycle_stream(path: str) -> List[Dict[str, Any]]:
     """Parse a JSONL lifecycle stream, tolerating a torn tail (the
     simulator may have been killed mid-write)."""
@@ -581,21 +565,6 @@ def export_accounting(machine, accountant: CycleAccountant,
         },
         "spawn_regions": region_rows,
     }
-
-
-def write_accounting(payload: Dict[str, Any], fh: IO[str]) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def load_accounting(path: str) -> Dict[str, Any]:
-    """Load an accounting export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_ACCOUNTING:
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an accounting export (schema={got!r})")
-    return data
 
 
 def hop_percentiles(hops: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:

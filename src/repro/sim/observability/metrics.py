@@ -17,9 +17,10 @@ text reports.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Dict, IO, List, Optional
+
+from repro.sim.observability.ledger import SCHEMA_METRICS, write_json
 
 #: default geometric bucket bounds (values in *cycles*): 1, 2, 4, ...
 DEFAULT_BOUNDS = tuple(2 ** k for k in range(15))
@@ -189,7 +190,7 @@ def export_metrics(machine) -> Dict[str, Any]:
     registry = (obs.metrics if obs is not None and obs.metrics is not None
                 else MetricsRegistry())
     payload = registry.to_dict()
-    payload["schema"] = "xmtsim-metrics/1"
+    payload["schema"] = SCHEMA_METRICS
     payload["config"] = {
         "n_tcus": machine.config.n_tcus,
         "n_clusters": machine.config.n_clusters,
@@ -202,16 +203,4 @@ def export_metrics(machine) -> Dict[str, Any]:
 
 
 def write_metrics(machine, fh: IO[str]) -> None:
-    json.dump(export_metrics(machine), fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def load_metrics(path: str) -> Dict[str, Any]:
-    """Load a ``--metrics-out`` export, checking its schema version."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != "xmtsim-metrics/1":
-        got = data.get("schema") if isinstance(data, dict) else type(data)
-        raise ValueError(f"{path}: not an xmtsim metrics export "
-                         f"(schema={got!r})")
-    return data
+    write_json(export_metrics(machine), fh)

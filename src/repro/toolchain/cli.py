@@ -340,12 +340,20 @@ def _load_program(path: str, options: CompileOptions):
     return compile_source(text, options), text
 
 
-def _write_observability(args, obs, machine) -> int:
-    """Write --trace-out/--metrics-out/--profile/--accounting-out/
-    --lifecycle-out/--explain outputs; 0 on success."""
-    import json as _json
-
-    from repro.sim.observability import render_profile, write_metrics
+def _write_observability(args, obs, machine,
+                         cycles: Optional[int] = None) -> Optional[dict]:
+    """Export the run's artifacts once, write the --trace-out/
+    --metrics-out/--profile-out/--accounting-out files and print the
+    --profile/--explain reports; returns the artifact payloads (what
+    --ledger records), or ``None`` when an output could not be
+    written."""
+    from repro.sim.observability import (
+        build_explain,
+        export_payloads,
+        render_explain,
+        render_profile,
+    )
+    from repro.sim.observability.ledger import write_artifact
 
     try:
         if args.trace_out:
@@ -359,59 +367,32 @@ def _write_observability(args, obs, machine) -> int:
                 obs.events.write(args.trace_out, args.trace_format)
                 print(f"xmtsim: wrote {args.trace_format} trace to "
                       f"{args.trace_out}", file=sys.stderr)
-        if args.metrics_out:
-            with open(args.metrics_out, "w") as fh:
-                write_metrics(machine, fh)
-            print(f"xmtsim: wrote metrics to {args.metrics_out}",
-                  file=sys.stderr)
-        data = obs.profiler.to_data() if obs.profiler is not None else None
-        if args.profile_out:
-            with open(args.profile_out, "w") as fh:
-                _json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"xmtsim: wrote profile to {args.profile_out}",
-                  file=sys.stderr)
-        if args.profile:
-            print(render_profile(data), file=sys.stderr)
-        accounting = None
-        if getattr(obs, "accounting", None) is not None:
-            from repro.sim.observability import export_accounting
-
-            accounting = export_accounting(machine, obs.accounting)
-            if args.accounting_out:
-                from repro.sim.observability import write_accounting
-
-                with open(args.accounting_out, "w") as fh:
-                    write_accounting(accounting, fh)
-                print(f"xmtsim: wrote cycle accounting to "
-                      f"{args.accounting_out}", file=sys.stderr)
-        recorder = getattr(obs, "lifecycle", None)
+        recorder = obs.lifecycle
         if recorder is not None:
             recorder.close()
-            if args.lifecycle_out:
-                print(f"xmtsim: streamed {recorder.sampled} request "
-                      f"lifecycle(s) to {args.lifecycle_out} "
-                      f"({recorder.completed} completed)",
-                      file=sys.stderr)
-        if args.explain and accounting is not None:
-            from repro.sim.observability import (
-                build_explain,
-                export_metrics,
-                render_explain,
-            )
-
-            metrics_data = (export_metrics(machine)
-                            if obs.metrics is not None else None)
-            report = build_explain(
-                accounting,
-                lifecycle=(recorder.to_data()
-                           if recorder is not None else None),
-                metrics=metrics_data)
+        payloads = export_payloads(machine, obs, cycles=cycles)
+        for path, name, what in (
+                (args.metrics_out, "metrics", "metrics"),
+                (args.profile_out, "profile", "profile"),
+                (args.accounting_out, "accounting", "cycle accounting")):
+            if path:
+                write_artifact(path, payloads[name])
+                print(f"xmtsim: wrote {what} to {path}", file=sys.stderr)
+        if args.profile:
+            print(render_profile(payloads["profile"]), file=sys.stderr)
+        if recorder is not None and args.lifecycle_out:
+            print(f"xmtsim: streamed {recorder.sampled} request "
+                  f"lifecycle(s) to {args.lifecycle_out} "
+                  f"({recorder.completed} completed)", file=sys.stderr)
+        if args.explain:
+            report = build_explain(payloads["accounting"],
+                                   lifecycle=payloads.get("lifecycle"),
+                                   metrics=payloads.get("metrics"))
             print(render_explain(report), file=sys.stderr)
     except OSError as exc:
         print(f"xmtsim: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return None
+    return payloads
 
 
 def xmtsim_main(argv: Optional[List[str]] = None) -> int:
@@ -799,38 +780,21 @@ def xmtsim_main(argv: Optional[List[str]] = None) -> int:
             if args.stats:
                 print(result.stats.report(), file=sys.stderr)
             if observability is not None:
-                code = _write_observability(args, observability,
-                                            final_machine)
-                if code:
-                    return code
+                payloads = _write_observability(args, observability,
+                                                final_machine,
+                                                cycles=result.cycles)
+                if payloads is None:
+                    return 2
             if args.ledger:
-                from repro.sim.observability import (
-                    Ledger,
-                    build_manifest,
-                    export_metrics,
-                )
+                from repro.sim.observability import Ledger, build_manifest
 
                 manifest = build_manifest(
                     program, final_machine.config, cycles=result.cycles,
                     instructions=result.instructions,
                     wall_seconds=run_wall, source=xmtc_source,
                     program_path=args.program, label=args.run_label)
-                accounting_payload = None
-                if observability.accounting is not None:
-                    from repro.sim.observability import export_accounting
-
-                    accounting_payload = export_accounting(
-                        final_machine, observability.accounting,
-                        cycles=result.cycles)
-                extras = None
-                if observability.lifecycle is not None:
-                    extras = {"lifecycle":
-                              observability.lifecycle.to_data()}
                 try:
-                    record = Ledger(args.ledger).record(
-                        manifest, export_metrics(final_machine),
-                        observability.profiler.to_data(),
-                        accounting=accounting_payload, extras=extras)
+                    record = Ledger(args.ledger).record(manifest, payloads)
                 except OSError as exc:
                     print(f"xmtsim: {exc}", file=sys.stderr)
                     return 2
@@ -901,15 +865,6 @@ def _parse_vary(specs: List[str]):
     return axes
 
 
-def _grid(axes):
-    """Cartesian product of the vary axes as override dicts, in order."""
-    points = [{}]
-    for field, values in axes:
-        points = [dict(point, **{field: value})
-                  for point in points for value in values]
-    return points
-
-
 def _apply_globals(program, sets) -> None:
     for name, values in sets:
         try:
@@ -958,7 +913,7 @@ def xmt_compare_main(argv: Optional[List[str]] = None) -> int:
     2 = bad input (unreadable files, unknown runs, schema mismatch).
     """
     from repro.sim.observability import Ledger, compare_runs
-    from repro.sim.observability.compare import SchemaError
+    from repro.sim.observability import SchemaError
 
     parser = argparse.ArgumentParser(
         prog="xmt-compare",
@@ -1148,6 +1103,7 @@ def _compare_check(args) -> int:
         load_run,
         write_run_dir,
     )
+    from repro.sim.observability.ledger import MANIFEST_FILE
 
     # the baseline operand is a run directory unless it names the
     # manifest file itself (a not-yet-existing directory stays a
@@ -1157,7 +1113,7 @@ def _compare_check(args) -> int:
         manifest_path = args.baseline
     else:
         baseline_dir = args.baseline
-        manifest_path = os.path.join(args.baseline, "manifest.json")
+        manifest_path = os.path.join(args.baseline, MANIFEST_FILE)
     baseline = None
     if os.path.exists(manifest_path) or not args.update_baseline:
         baseline = load_run(args.baseline)
@@ -1172,10 +1128,7 @@ def _compare_check(args) -> int:
         accounting=getattr(args, "recorder", False))
     fresh = artifacts.as_record()
     if args.update_baseline:
-        write_run_dir(baseline_dir, artifacts.manifest, artifacts.metrics,
-                      artifacts.profile,
-                      accounting=artifacts.accounting,
-                      extras=artifacts.extras or None)
+        write_run_dir(baseline_dir, artifacts.manifest, artifacts.payloads)
         print(f"xmt-compare: baseline {baseline_dir} updated "
               f"({fresh.cycles} cycles, run {fresh.run_id})")
         return 0
@@ -1630,7 +1583,7 @@ def xmt_prof_main(argv: Optional[List[str]] = None) -> int:
 
     Exit codes: 0 = report printed, 2 = unreadable or not a profile.
     """
-    from repro.sim.observability import load_profile, render_profile
+    from repro.sim.observability import load_artifact, render_profile
 
     parser = argparse.ArgumentParser(
         prog="xmt-prof",
@@ -1648,7 +1601,7 @@ def xmt_prof_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        data = load_profile(args.profile)
+        data = load_artifact(args.profile, "profile")
     except (OSError, ValueError) as exc:
         # ValueError covers both a wrong schema and malformed JSON
         print(f"xmt-prof: {exc}", file=sys.stderr)

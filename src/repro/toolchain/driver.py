@@ -10,7 +10,7 @@ and the post-run memory image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.isa.program import Program
 from repro.sim.config import XMTConfig, fpga64
@@ -74,37 +74,6 @@ def run_program(program: Program,
     return RunOutcome(program=program, output=result.output,
                       cycles=result.cycles, instructions=result.instructions,
                       result=result)
-
-
-def run_grid(program_path: str,
-             axes,
-             *,
-             config: Optional[XMTConfig] = None,
-             inputs: Optional[Dict] = None,
-             workers: int = 1,
-             ledger_dir: Optional[str] = None,
-             max_cycles: Optional[int] = None,
-             options: Optional[CompileOptions] = None):
-    """Sweep a config grid through the fault-tolerant campaign engine.
-
-    ``axes`` is an ordered list of ``(config_field, values)`` pairs;
-    the grid is their cartesian product.  With ``workers > 1`` the runs
-    are sharded across supervised worker processes; with a ledger,
-    already-recorded grid points are cache hits and a killed sweep
-    resumes where it died.  Returns the engine's
-    :class:`~repro.sim.campaign.engine.CampaignResult`.
-    """
-    from repro.sim.campaign import CampaignEngine, grid_requests
-    from repro.sim.observability.ledger import Ledger
-
-    requests = grid_requests(program_path, axes, inputs=dict(inputs or {}),
-                             max_cycles=max_cycles)
-    engine = CampaignEngine(
-        requests,
-        ledger=Ledger(ledger_dir) if ledger_dir else None,
-        base_config=config, compile_options=options,
-        workers=workers, serial=workers <= 1)
-    return engine.run()
 
 
 def run_functional(source_or_program: Union[str, Program],

@@ -31,27 +31,20 @@ from repro.sim.observability.explain import (
     explain_diff,
     render_explain,
 )
-from repro.sim.observability.lifecycle import (
-    SCHEMA_ACCOUNTING,
-    load_accounting,
+from repro.sim.observability.ledger import (
+    MANIFEST_FILE,
+    Ledger,
+    load_artifact,
+    load_run,
 )
 
 
 def _load_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
     """Resolve one run operand into ``{"accounting", "lifecycle",
     "metrics", "manifest"}`` (accounting required, the rest optional)."""
-    from repro.sim.observability.ledger import Ledger, load_run
-
-    if os.path.isfile(token) and not token.endswith("manifest.json"):
-        with open(token) as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict) \
-                and payload.get("schema") == SCHEMA_ACCOUNTING:
-            return {"accounting": payload, "lifecycle": None,
-                    "metrics": None, "manifest": None}
-        raise ValueError(
-            f"{token}: not an {SCHEMA_ACCOUNTING} export (give a run "
-            f"directory, manifest.json, or accounting.json)")
+    if os.path.isfile(token) and not token.endswith(MANIFEST_FILE):
+        return {"accounting": load_artifact(token, "accounting"),
+                "lifecycle": None, "metrics": None, "manifest": None}
     if os.path.exists(token):
         record = load_run(token)
     elif ledger_dir is not None:
@@ -59,14 +52,16 @@ def _load_bundle(token: str, ledger_dir: Optional[str]) -> Dict[str, Any]:
     else:
         raise ValueError(f"{token!r} is not a path; pass --ledger DIR "
                          f"to resolve run ids")
-    accounting = record.accounting()
+    accounting = record.artifact("accounting")
     if accounting is None:
         raise ValueError(
             f"{token}: run has no accounting.json -- record it with "
             f"'xmtsim --accounting-out --ledger' or "
             f"'xmt-compare check --recorder --ledger'")
-    return {"accounting": accounting, "lifecycle": record.lifecycle(),
-            "metrics": record.metrics(), "manifest": record.manifest}
+    return {"accounting": accounting,
+            "lifecycle": record.artifact("lifecycle"),
+            "metrics": record.artifact("metrics"),
+            "manifest": record.manifest}
 
 
 def _check_exact(bundle: Dict[str, Any]) -> List[str]:
@@ -174,6 +169,3 @@ def xmt_explain_main(argv: Optional[List[str]] = None) -> int:
               f"{acct['n_processors']} processors", file=sys.stderr)
     return 0
 
-
-# keep the accounting loader importable from the CLI module for scripts
-__all__ = ["xmt_explain_main", "load_accounting"]

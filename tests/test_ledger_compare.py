@@ -8,6 +8,7 @@ import pytest
 from repro.sim.config import tiny
 from repro.sim.machine import Simulator
 from repro.sim.observability import (
+    ARTIFACTS,
     EventStream,
     Ledger,
     Observability,
@@ -17,9 +18,7 @@ from repro.sim.observability import (
     compare_runs,
     flatten_metrics,
     instrumented_run,
-    load_manifest,
-    load_metrics,
-    load_profile,
+    load_artifact,
     load_run,
     render_sweep_table,
 )
@@ -108,8 +107,8 @@ class TestLedger:
         assert ids == {rec1.run_id, rec2.run_id}
         loaded = ledger.load(rec1.run_id)
         assert loaded.manifest == rec1.manifest
-        assert loaded.metrics()["schema"] == "xmtsim-metrics/1"
-        assert loaded.profile()["schema"] == "xmt-prof/1"
+        assert loaded.artifact("metrics")["schema"] == "xmtsim-metrics/1"
+        assert loaded.artifact("profile")["schema"] == "xmt-prof/1"
 
     def test_load_by_prefix(self, tmp_path, run_fast):
         ledger = Ledger(str(tmp_path))
@@ -138,7 +137,7 @@ class TestLedger:
         by_dir = load_run(rec.path)
         by_file = load_run(os.path.join(rec.path, "manifest.json"))
         assert by_dir.run_id == by_file.run_id == rec.run_id
-        assert by_file.metrics() is not None
+        assert by_file.artifact("metrics") is not None
 
 
 class TestCompare:
@@ -188,7 +187,7 @@ class TestCompare:
             {"cycles", "stats.tcu.stall.drain"}
 
     def test_flatten_metrics_space(self, run_fast):
-        flat = flatten_metrics(run_fast.metrics)
+        flat = flatten_metrics(run_fast.payloads["metrics"])
         assert any(k.startswith("stats.") for k in flat)
         assert any(k.startswith("gauge.") for k in flat)
         assert "hist.mem.latency.all.mean" in flat
@@ -225,28 +224,53 @@ class TestCompare:
 
 
 class TestSchemaStability:
-    """The three public payload schemas load via their public loaders
-    and reject foreign payloads with a named error, not a KeyError."""
+    """Every run artifact loads through the one table and rejects
+    foreign payloads with a named error, not a KeyError."""
 
     def test_round_trip_via_ledger_files(self, tmp_path, run_fast):
         rec = Ledger(str(tmp_path)).record_artifacts(run_fast)
-        manifest = load_manifest(os.path.join(rec.path, "manifest.json"))
-        metrics = load_metrics(os.path.join(rec.path, "metrics.json"))
-        profile = load_profile(os.path.join(rec.path, "profile.json"))
+        manifest, metrics, profile = (
+            load_artifact(os.path.join(rec.path, f"{name}.json"), name)
+            for name in ("manifest", "metrics", "profile"))
         assert manifest["schema"] == "xmtsim-run/1"
         assert metrics["schema"] == "xmtsim-metrics/1"
         assert profile["schema"] == "xmt-prof/1"
         assert manifest["cycles"] == run_fast.result.cycles
         assert profile["total_cycles"] > 0
 
-    @pytest.mark.parametrize("loader", [load_manifest, load_metrics,
-                                        load_profile])
-    def test_loaders_reject_wrong_schema(self, tmp_path, loader):
+    def test_every_artifact_round_trips_through_the_table(self, tmp_path):
+        from repro.power.dtm import PowerThermalPlugin
+
+        fresh = instrumented_run(
+            compile_source(SRC), tiny(), source=SRC, label="all",
+            accounting=True, power=PowerThermalPlugin(interval_cycles=50))
+        produced = dict(fresh.payloads, manifest=fresh.manifest)
+        assert set(produced) == set(ARTIFACTS)
+        rec = Ledger(str(tmp_path)).record_artifacts(fresh)
+        loaded = load_run(rec.path)
+        for name, (file, _) in ARTIFACTS.items():
+            path = os.path.join(rec.path, file)
+            assert load_artifact(path, name) == produced[name], name
+            assert loaded.artifact(name) == produced[name], name
+
+    def test_record_rejects_foreign_power_artifact(self, tmp_path,
+                                                   run_fast):
+        rec = Ledger(str(tmp_path)).record_artifacts(run_fast)
+        with open(os.path.join(rec.path, "power.json"), "w") as fh:
+            json.dump({"schema": "other-power/1", "samples": 0}, fh)
+        with pytest.raises(SchemaError, match="xmt-power/1"):
+            load_run(rec.path).artifact("power")
+
+    @pytest.mark.parametrize("payload", [
+        {"schema": "something-else/9", "cycles": 1}, [1, 2]],
+        ids=["foreign", "list"])
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_loaders_reject_wrong_schema(self, tmp_path, name, payload):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "something-else/9",
-                                   "cycles": 1}))
-        with pytest.raises(ValueError, match="schema"):
-            loader(str(bad))
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="schema") as info:
+            load_artifact(str(bad), name)
+        assert ARTIFACTS[name].schema in str(info.value)
 
     def test_compare_rejects_mismatched_schema(self, run_fast):
         rec = run_fast.as_record()
@@ -258,7 +282,8 @@ class TestSchemaStability:
     def test_compare_rejects_mismatched_profile_schema(self, run_fast):
         rec_a = run_fast.as_record()
         rec_b = run_fast.as_record()
-        rec_b._profile = dict(rec_b._profile, schema="xmt-prof/99")
+        rec_b.payloads["profile"] = dict(rec_b.payloads["profile"],
+                                         schema="xmt-prof/99")
         with pytest.raises(SchemaError, match="xmt-prof/1"):
             compare_runs(rec_a, rec_b)
 
@@ -317,8 +342,8 @@ class TestCLI:
         records = Ledger(ledger_dir).list_runs()
         assert len(records) == 1
         assert records[0].label == "cli-run"
-        assert records[0].metrics() is not None
-        assert records[0].profile() is not None
+        assert records[0].artifact("metrics") is not None
+        assert records[0].artifact("profile") is not None
 
     def test_xmtsim_ledger_requires_cycle_mode(self, src_path, tmp_path,
                                                capsys):

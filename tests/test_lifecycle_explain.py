@@ -265,9 +265,9 @@ class TestExplain:
 
     def test_report_renders_all_formats(self):
         artifacts = self._artifacts()
-        report = build_explain(artifacts.accounting,
-                               lifecycle=artifacts.extras["lifecycle"],
-                               metrics=artifacts.metrics,
+        report = build_explain(artifacts.payloads["accounting"],
+                               lifecycle=artifacts.payloads["lifecycle"],
+                               metrics=artifacts.payloads["metrics"],
                                manifest=artifacts.manifest)
         assert report["kind"] == "report"
         assert report["bottleneck"] is not None
@@ -285,14 +285,14 @@ class TestExplain:
         slow_cfg.dram_latency = slow_cfg.dram_latency * 4
         slow = self._artifacts(label="slow", config=slow_cfg)
         assert slow.manifest["cycles"] > fast.manifest["cycles"]
-        rows = diff_accounting(fast.accounting, slow.accounting)
+        rows = diff_accounting(fast.payloads["accounting"],
+                               slow.payloads["accounting"])
         responsible = responsible_layer(rows)
         assert responsible is not None
         assert responsible["category"].startswith(("mem.",
                                                    "scoreboard_raw"))
-        bundle = lambda a: {"accounting": a.accounting,  # noqa: E731
-                            "lifecycle": a.extras["lifecycle"],
-                            "manifest": a.manifest}
+        bundle = lambda a: dict(a.payloads,  # noqa: E731
+                                manifest=a.manifest)
         diff = explain_diff(bundle(fast), bundle(slow))
         assert diff["cycles_delta"] > 0
         assert diff["responsible"]["category"] == responsible["category"]

@@ -15,8 +15,9 @@ from repro.sim.observability import (
     MetricsRegistry,
     Observability,
     export_metrics,
-    load_profile,
+    load_artifact,
     render_profile,
+    write_json,
 )
 from repro.sim.resilience.diagnostics import collect
 from repro.sim.stats import IntervalSeries, diff_snapshots
@@ -275,8 +276,8 @@ class TestProfiler:
         _, _, obs, _ = full_run
         path = tmp_path / "prof.json"
         with open(path, "w") as fh:
-            obs.profiler.write(fh)
-        data = load_profile(str(path))
+            write_json(obs.profiler.to_data(), fh)
+        data = load_artifact(str(path), "profile")
         assert data["schema"] == "xmt-prof/1"
         assert data["lines"] == obs.profiler.to_data()["lines"]
 
@@ -284,7 +285,7 @@ class TestProfiler:
         path = tmp_path / "bogus.json"
         path.write_text('{"schema": "something-else/9"}')
         with pytest.raises(ValueError):
-            load_profile(str(path))
+            load_artifact(str(path), "profile")
 
 
 class TestIntervalSeriesIncremental:
@@ -380,12 +381,15 @@ class TestCommandLine:
         assert "cycle profile:" in out
         assert "B[$] = A[$] + 1;" in out
 
-    def test_xmt_prof_rejects_non_profile(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]"],
+                             ids=["object", "list"])
+    def test_xmt_prof_rejects_non_profile(self, tmp_path, capsys, text):
         from repro.toolchain.cli import xmt_prof_main
 
         path = tmp_path / "nope.json"
-        path.write_text("{}")
+        path.write_text(text)
         assert xmt_prof_main(["report", str(path)]) == 2
+        assert "xmt-prof/1" in capsys.readouterr().err
 
     def test_observability_requires_cycle_mode(self, src_file):
         from repro.toolchain.cli import xmtsim_main
