@@ -1,12 +1,13 @@
 """Dispatch-layer throughput: pre-decoded micro-ops vs per-step decode.
 
 The execution core decodes every instruction exactly once at program
-load (``repro.isa.decode``) and both pipelines dispatch through
-opcode-indexed tables instead of classifying ``Instruction`` objects
-with ``isinstance`` chains on every step.  These benchmarks pin the
-resulting hot-loop throughput in instructions per host-second so the
-``BENCH_ledger.json`` trajectory catches a regression in either
-pipeline's dispatch path.
+load (``repro.isa.decode``).  A register-only op carries a register
+kernel built at decode (``MicroOp.ex``), which both pipelines run; every
+other op dispatches through an opcode-indexed table.  Neither pipeline
+classifies ``Instruction`` objects with ``isinstance`` chains on every
+step.  These benchmarks pin the resulting hot-loop throughput in
+instructions per host-second so the ``BENCH_ledger.json`` trajectory
+catches a regression in either pipeline's dispatch path.
 """
 
 import time
@@ -53,7 +54,8 @@ def test_decode_cost_amortized(benchmark, table):
 
 
 def test_functional_dispatch_throughput(benchmark, table):
-    """Instructions per host-second through the functional HANDLERS table."""
+    """Instructions per host-second through the functional main loop
+    (register kernels plus the HANDLERS table)."""
     program = _prepare()
 
     def run():
@@ -70,7 +72,8 @@ def test_functional_dispatch_throughput(benchmark, table):
 
 
 def test_cycle_dispatch_throughput(benchmark, table):
-    """Instructions per host-second through the TCU handler tables.
+    """Instructions per host-second through the TCU issue slot (register
+    kernels plus the handler tables).
 
     This is the same workload/config as ``test_cycle_accurate_speed``
     (the ledger's trend row); reported here as a throughput so the

@@ -15,7 +15,10 @@ time every :class:`~repro.isa.instructions.Instruction` is decoded
 - the immediate/offset/target, the functional-unit class, and
   memory-kind flags (``is_load``/``is_store``/``is_mem``),
 - the operational definition itself (``fn``), resolved from
-  :mod:`repro.isa.semantics` once instead of per executed instruction.
+  :mod:`repro.isa.semantics` once instead of per executed instruction,
+- for every register-only op, one *register kernel* ``ex(regs, pc) ->
+  next_pc`` that binds ``fn`` to the operand registers (see
+  :func:`_k_binop` and friends below).
 
 A :class:`DecodedProgram` wraps the micro-op list and is shared
 read-only by every TCU of a machine -- one decode per program, not per
@@ -39,6 +42,7 @@ import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa import instructions as I
+from repro.isa.registers import REG_RA, REG_ZERO
 from repro.isa.semantics import (
     BRANCH_CONDS,
     FLOAT_BINOPS,
@@ -49,10 +53,11 @@ from repro.isa.semantics import (
 
 # -- the shared opcode space ---------------------------------------------------
 #
-# One integer per *handler*, not per mnemonic: every ``add``-shaped
-# private-ALU binary op shares OP_ALU, all shared-FU binaries share
-# OP_ALU_SHARED, and so on.  Both pipelines index their dispatch tables
-# with these values; a table missing an entry fails the import-time
+# One integer per operand shape and unit, not per mnemonic: every
+# ``add``-shaped private-ALU binary op shares OP_ALU, all shared-FU
+# binaries share OP_ALU_SHARED, and so on.  Both pipelines index their
+# dispatch tables with these values (the cycle side also its per-opcode
+# kernel-latency table); a table missing an entry fails the import-time
 # completeness check in its module.
 
 OP_ALU = 0            # binary op on the TCU-private ALU
@@ -112,20 +117,22 @@ class MicroOp:
 
     Attributes mirror what the two pipelines used to re-derive per
     executed instruction: ``reads``/``wr`` feed the scoreboard, ``fn``
-    is the operational definition, ``stat_key``/``class_key`` are the
-    pre-built counter names, and ``ins`` is the original
+    is the operational definition, ``ex`` is the register kernel of a
+    register-only op (None for every other op), ``stat_key``/``class_key``
+    are the pre-built counter names, and ``ins`` is the original
     :class:`~repro.isa.instructions.Instruction` for rendering.
     """
 
     __slots__ = ("code", "op", "fu", "rd", "rs", "rt", "imm", "target",
-                 "reads", "wr", "fn", "is_load", "is_store", "is_mem",
+                 "reads", "wr", "fn", "ex", "is_load", "is_store", "is_mem",
                  "index", "line", "src_line", "stat_key", "class_key",
                  "ins")
 
     def __init__(self, code: int, ins: I.Instruction,
                  rd: int = -1, rs: int = -1, rt: int = -1,
                  imm: int = 0, target: int = -1,
-                 fn: Optional[Callable] = None):
+                 fn: Optional[Callable] = None,
+                 ex: Optional[Callable[[List[int], int], int]] = None):
         self.code = code
         self.op = ins.op
         self.fu = ins.fu
@@ -138,6 +145,7 @@ class MicroOp:
         wr = ins.writes()
         self.wr = -1 if wr is None else wr
         self.fn = fn
+        self.ex = ex
         self.is_load = code in (OP_LOAD, OP_LOAD_RO)
         self.is_store = code in (OP_STORE, OP_STORE_NB)
         self.is_mem = code in (OP_LOAD, OP_LOAD_RO, OP_STORE, OP_STORE_NB,
@@ -179,41 +187,142 @@ def _resolve_unop(op: str) -> Callable[[int], int]:
     return fn
 
 
+# -- register kernels ----------------------------------------------------------
+#
+# A register-only op (ALU, ALU-immediate, li, unary, branch, j, jal, jr,
+# nop) decodes to one closure ``ex(regs, pc) -> next_pc`` that binds its
+# operational definition and operand registers: it reads the register
+# file, writes the result masked to 32 bits and returns the next pc.
+# Both pipelines run it, so register write-back and pc update exist
+# once, here.  A write to ``$zero`` is dropped, but ``fn`` still runs:
+# a division-by-zero trap is never skipped.
+
+def _k_next(regs: List[int], pc: int) -> int:
+    return pc + 1
+
+
+def _k_binop(fn: Callable, rd: int, rs: int, rt: int) -> Callable:
+    if rd == REG_ZERO:
+        def ex(regs, pc):
+            fn(regs[rs], regs[rt])
+            return pc + 1
+        return ex
+
+    def ex(regs, pc):
+        regs[rd] = fn(regs[rs], regs[rt]) & 0xFFFFFFFF
+        return pc + 1
+    return ex
+
+
+def _k_binop_imm(fn: Callable, rd: int, rs: int, imm: int) -> Callable:
+    if rd == REG_ZERO:
+        def ex(regs, pc):
+            fn(regs[rs], imm)
+            return pc + 1
+        return ex
+
+    def ex(regs, pc):
+        regs[rd] = fn(regs[rs], imm) & 0xFFFFFFFF
+        return pc + 1
+    return ex
+
+
+def _k_unop(fn: Callable, rd: int, rs: int) -> Callable:
+    if rd == REG_ZERO:
+        def ex(regs, pc):
+            fn(regs[rs])
+            return pc + 1
+        return ex
+
+    def ex(regs, pc):
+        regs[rd] = fn(regs[rs]) & 0xFFFFFFFF
+        return pc + 1
+    return ex
+
+
+def _k_li(rd: int, imm: int) -> Callable:
+    if rd == REG_ZERO:
+        return _k_next
+    value = imm & 0xFFFFFFFF
+
+    def ex(regs, pc):
+        regs[rd] = value
+        return pc + 1
+    return ex
+
+
+def _k_branch(cond: Callable, rs: int, rt: int, target: int) -> Callable:
+    if rt < 0:  # single-operand compare against zero (blez, bgtz, ...)
+        def ex(regs, pc):
+            return target if cond(regs[rs], 0) else pc + 1
+        return ex
+
+    def ex(regs, pc):
+        return target if cond(regs[rs], regs[rt]) else pc + 1
+    return ex
+
+
+def _k_jump(target: int) -> Callable:
+    def ex(regs, pc):
+        return target
+    return ex
+
+
+def _k_jal(target: int) -> Callable:
+    def ex(regs, pc):
+        regs[REG_RA] = (pc + 1) & 0xFFFFFFFF
+        return target
+    return ex
+
+
+def _k_jr(rs: int) -> Callable:
+    def ex(regs, pc):
+        return regs[rs] & 0xFFFFFFFF
+    return ex
+
+
 # -- per-class decoders --------------------------------------------------------
 
 def _d_aluop(ins: I.ALUOp) -> MicroOp:
     code = OP_ALU if ins._fu == I.FU_ALU else OP_ALU_SHARED
-    return MicroOp(code, ins, rd=ins.rd, rs=ins.rs, rt=ins.rt,
-                   fn=_resolve_binop(ins.op))
+    fn = _resolve_binop(ins.op)
+    return MicroOp(code, ins, rd=ins.rd, rs=ins.rs, rt=ins.rt, fn=fn,
+                   ex=_k_binop(fn, ins.rd, ins.rs, ins.rt))
 
 
 def _d_aluimm(ins: I.ALUImm) -> MicroOp:
-    return MicroOp(OP_ALU_IMM, ins, rd=ins.rd, rs=ins.rs, imm=ins.imm,
-                   fn=_resolve_binop(ins.op))
+    fn = _resolve_binop(ins.op)
+    return MicroOp(OP_ALU_IMM, ins, rd=ins.rd, rs=ins.rs, imm=ins.imm, fn=fn,
+                   ex=_k_binop_imm(fn, ins.rd, ins.rs, ins.imm))
 
 
 def _d_loadimm(ins: I.LoadImm) -> MicroOp:
-    return MicroOp(OP_LI, ins, rd=ins.rd, imm=ins.imm)
+    return MicroOp(OP_LI, ins, rd=ins.rd, imm=ins.imm,
+                   ex=_k_li(ins.rd, ins.imm))
 
 
 def _d_unary(ins: I.UnaryOp) -> MicroOp:
     code = OP_UNARY if ins._fu == I.FU_ALU else OP_UNARY_SHARED
-    return MicroOp(code, ins, rd=ins.rd, rs=ins.rs,
-                   fn=_resolve_unop(ins.op))
+    fn = _resolve_unop(ins.op)
+    return MicroOp(code, ins, rd=ins.rd, rs=ins.rs, fn=fn,
+                   ex=_k_unop(fn, ins.rd, ins.rs))
 
 
 def _d_branch(ins: I.Branch) -> MicroOp:
+    cond = BRANCH_CONDS[ins.op]
     return MicroOp(OP_BRANCH, ins, rs=ins.rs, rt=ins.rt, target=ins.target,
-                   fn=BRANCH_CONDS[ins.op])
+                   fn=cond, ex=_k_branch(cond, ins.rs, ins.rt, ins.target))
 
 
 def _d_jump(ins: I.Jump) -> MicroOp:
-    return MicroOp(OP_JAL if ins.op == "jal" else OP_JUMP, ins,
-                   target=ins.target)
+    if ins.op == "jal":
+        return MicroOp(OP_JAL, ins, target=ins.target,
+                       ex=_k_jal(ins.target))
+    return MicroOp(OP_JUMP, ins, target=ins.target, ex=_k_jump(ins.target))
 
 
 def _d_jumpreg(ins: I.JumpReg) -> MicroOp:
-    return MicroOp(OP_JR, ins, rs=ins.rs)
+    return MicroOp(OP_JR, ins, rs=ins.rs, ex=_k_jr(ins.rs))
 
 
 def _d_load(ins: I.Load) -> MicroOp:
@@ -271,7 +380,7 @@ def _d_halt(ins: I.Halt) -> MicroOp:
 
 
 def _d_nop(ins: I.Nop) -> MicroOp:
-    return MicroOp(OP_NOP, ins)
+    return MicroOp(OP_NOP, ins, ex=_k_next)
 
 
 def _d_print(ins: I.Print) -> MicroOp:

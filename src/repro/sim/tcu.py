@@ -12,11 +12,14 @@ of Section III-A.
 
 The issue slot is the simulator's hottest code.  Processors execute the
 pre-decoded micro-op stream (:mod:`repro.isa.decode`): every fetch
-returns a :class:`~repro.isa.decode.MicroOp` whose integer opcode
-indexes a flat per-instance table of bound handler methods, whose
-pre-resolved ``reads``/``wr`` feed the scoreboard without re-calling the
-instruction's classification methods, and whose ``fn`` slot carries the
-operational definition shared with the functional mode.
+returns a :class:`~repro.isa.decode.MicroOp` whose pre-resolved
+``reads``/``wr`` feed the scoreboard without re-calling the
+instruction's classification methods.  A register-only op issues by
+running its decode-time register kernel (``ex``) -- the closure the
+functional mode runs too -- plus the op's extra ALU/branch latency from
+a per-opcode table; every other op dispatches through a flat
+per-instance table of bound handler methods indexed by its integer
+opcode.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.isa.decode import (
     OP_UNARY,
     OP_UNARY_SHARED,
 )
-from repro.isa.registers import REG_RA, REG_ZERO
+from repro.isa.registers import REG_ZERO
 from repro.isa.semantics import TrapError, format_print, to_signed, to_unsigned
 from repro.sim import packages as P
 from repro.sim.functional import CoreState, SimulationError
@@ -66,18 +69,11 @@ from repro.sim.functional import CoreState, SimulationError
 #: opcode -> handler method name; resolved to bound methods per instance
 #: by :meth:`ProcessorBase._build_handlers` (so subclass overrides of the
 #: ``_issue_*`` hooks are respected).  Built as a dict keyed on the named
-#: constants, flattened to a list indexed by opcode.
+#: constants, flattened to a list indexed by opcode.  Register-only ops
+#: that issue through their kernel (:data:`_KERNEL_LATENCY`) have none.
 _HANDLER_NAMES_BY_CODE = {
-    OP_ALU: "_h_aluop",
     OP_ALU_SHARED: "_h_alu_shared",
-    OP_ALU_IMM: "_h_aluimm",
-    OP_LI: "_h_loadimm",
-    OP_UNARY: "_h_unary",
     OP_UNARY_SHARED: "_h_unary_shared",
-    OP_BRANCH: "_h_branch",
-    OP_JUMP: "_h_jump",
-    OP_JAL: "_h_jal",
-    OP_JR: "_h_jumpreg",
     OP_LOAD: "_h_load",
     OP_LOAD_RO: "_h_load",
     OP_STORE: "_h_store",
@@ -88,7 +84,6 @@ _HANDLER_NAMES_BY_CODE = {
     OP_GETG: "_h_getg",
     OP_SETG: "_h_setg",
     OP_FENCE: "_h_fence",
-    OP_NOP: "_h_nop",
     OP_PRINT: "_h_print",
     OP_GETVT: "_issue_getvt",
     OP_GETTCU: "_issue_gettcu",
@@ -97,9 +92,35 @@ _HANDLER_NAMES_BY_CODE = {
     OP_JOIN: "_h_join",
     OP_HALT: "_issue_halt",
 }
-assert sorted(_HANDLER_NAMES_BY_CODE) == list(range(N_OPCODES)), \
-    "processor handler table incomplete"
-_HANDLER_NAMES: List[str] = [_HANDLER_NAMES_BY_CODE[c] for c in range(N_OPCODES)]
+
+#: register-only opcodes that issue by running ``MicroOp.ex`` on the
+#: TCU-private units -> the config latency whose excess over one cycle
+#: stalls the next issue (None: jumps, which add none).  Shared-FU ops
+#: keep their handlers: they arbitrate and deliver the result later.
+_KERNEL_LATENCY = {
+    OP_ALU: "alu_latency",
+    OP_ALU_IMM: "alu_latency",
+    OP_LI: "alu_latency",
+    OP_UNARY: "alu_latency",
+    OP_NOP: "alu_latency",
+    OP_BRANCH: "branch_latency",
+    OP_JUMP: None,
+    OP_JAL: None,
+    OP_JR: None,
+}
+assert sorted([*_HANDLER_NAMES_BY_CODE, *_KERNEL_LATENCY]) == \
+    list(range(N_OPCODES)), "processor dispatch tables incomplete"
+_HANDLER_NAMES: List[Optional[str]] = [
+    _HANDLER_NAMES_BY_CODE.get(c) for c in range(N_OPCODES)]
+
+
+def _kernel_extra_cycles(cfg) -> List[Optional[int]]:
+    """opcode -> extra issue-stall cycles of a kernel op (0 for none);
+    None marks an op that dispatches through the handler table."""
+    table: List[Optional[int]] = [None] * N_OPCODES
+    for code, field in _KERNEL_LATENCY.items():
+        table[code] = 0 if field is None else getattr(cfg, field) - 1
+    return table
 
 
 class ProcessorBase:
@@ -148,8 +169,7 @@ class ProcessorBase:
         cfg = machine.config
         self._mdu_latency = cfg.mdu_latency
         self._fpu_latency = cfg.fpu_latency
-        self._alu_extra = cfg.alu_latency - 1
-        self._branch_extra = cfg.branch_latency - 1
+        self._kernel_extra = _kernel_extra_cycles(cfg)
         self._build_handlers()
 
     # -- delivery -------------------------------------------------------------
@@ -299,11 +319,22 @@ class ProcessorBase:
             self._apply_mem_issue(now, pkg, u)
             return
 
-        u = self._check_fetch(self.core.pc)
+        core = self.core
+        u = self._check_fetch(core.pc)
         if not self._sources_ready(u):
             self._stall("memory")
             return
-        self._handlers[u.code](now, u)
+        extra = self._kernel_extra[u.code]
+        if extra is None:
+            self._handlers[u.code](now, u)
+            return
+        self._count_issue(u)
+        try:
+            core.pc = u.ex(core.regs, core.pc)
+        except TrapError as exc:
+            raise self._trap(u, str(exc)) from None
+        if extra > 0:
+            self.stall_until = now + extra * self._period()
 
     def _count_issue(self, u: MicroOp) -> None:
         self.instructions_issued += 1
@@ -317,28 +348,13 @@ class ProcessorBase:
 
     # -- dispatch ------------------------------------------------------------------
     #
-    # Issue dispatch goes through a per-instance flat list of bound
+    # Non-kernel ops dispatch through a per-instance flat list of bound
     # methods indexed by the micro-op's integer opcode (built from
     # _HANDLER_NAMES so subclasses override by redefining the method).
 
     def _build_handlers(self) -> None:
-        self._handlers = [getattr(self, name) for name in _HANDLER_NAMES]
-
-    def _alu_tail(self, now: int) -> None:
-        self.core.pc += 1
-        extra = self._alu_extra
-        if extra > 0:
-            self.stall_until = now + extra * self._period()
-
-    def _h_aluop(self, now: int, u: MicroOp) -> None:
-        core = self.core
-        self._count_issue(u)
-        regs = core.regs
-        try:
-            core.write(u.rd, u.fn(regs[u.rs], regs[u.rt]))
-        except TrapError as exc:
-            raise self._trap(u, str(exc)) from None
-        self._alu_tail(now)
+        self._handlers = [None if name is None else getattr(self, name)
+                          for name in _HANDLER_NAMES]
 
     def _h_alu_shared(self, now: int, u: MicroOp) -> None:
         # arbitrate *before* touching operands: on contention-heavy
@@ -360,15 +376,6 @@ class ProcessorBase:
         self.deliver(now + latency * self._period(), ("reg", rd, value))
         self.core.pc += 1
 
-    def _h_unary(self, now: int, u: MicroOp) -> None:
-        core = self.core
-        self._count_issue(u)
-        try:
-            core.write(u.rd, u.fn(core.regs[u.rs]))
-        except TrapError as exc:
-            raise self._trap(u, str(exc)) from None
-        self._alu_tail(now)
-
     def _h_unary_shared(self, now: int, u: MicroOp) -> None:
         latency = self._mdu_latency if u.fu == I.FU_MDU else self._fpu_latency
         if not self._try_issue_fu(u.fu, now, latency):
@@ -384,46 +391,6 @@ class ProcessorBase:
             self.pending_regs.add(rd)
         self.deliver(now + latency * self._period(), ("reg", rd, value))
         self.core.pc += 1
-
-    def _h_aluimm(self, now: int, u: MicroOp) -> None:
-        core = self.core
-        self._count_issue(u)
-        try:
-            core.write(u.rd, u.fn(core.regs[u.rs], u.imm))
-        except TrapError as exc:
-            raise self._trap(u, str(exc)) from None
-        self._alu_tail(now)
-
-    def _h_loadimm(self, now: int, u: MicroOp) -> None:
-        self._count_issue(u)
-        self.core.write(u.rd, u.imm)
-        self._alu_tail(now)
-
-    def _h_branch(self, now: int, u: MicroOp) -> None:
-        core = self.core
-        self._count_issue(u)
-        regs = core.regs
-        if u.fn(regs[u.rs], regs[u.rt] if u.rt >= 0 else 0):
-            core.pc = u.target
-        else:
-            core.pc += 1
-        extra = self._branch_extra
-        if extra > 0:
-            self.stall_until = now + extra * self._period()
-
-    def _h_jump(self, now: int, u: MicroOp) -> None:
-        self._count_issue(u)
-        self.core.pc = u.target
-
-    def _h_jal(self, now: int, u: MicroOp) -> None:
-        core = self.core
-        self._count_issue(u)
-        core.write(REG_RA, to_unsigned(core.pc + 1))
-        core.pc = u.target
-
-    def _h_jumpreg(self, now: int, u: MicroOp) -> None:
-        self._count_issue(u)
-        self.core.pc = to_unsigned(self.core.regs[u.rs])
 
     def _ps_common(self, now: int, u: MicroOp, kind: str) -> None:
         core = self.core
@@ -463,10 +430,6 @@ class ProcessorBase:
         except TrapError as exc:
             raise self._trap(u, str(exc)) from None
         self.core.pc += 1
-
-    def _h_nop(self, now: int, u: MicroOp) -> None:
-        self._count_issue(u)
-        self._alu_tail(now)
 
     def _h_join(self, now: int, u: MicroOp) -> None:
         raise self._trap(u, "join executed directly")
@@ -976,7 +939,25 @@ class TCU(ProcessorBase):
                 if not self.inbox:
                     self._sleep("memory", self._k_memory)
                 return
-        self._handlers[u.code](now, u)
+        extra = self._kernel_extra[u.code]
+        if extra is None:
+            self._handlers[u.code](now, u)
+            return
+        # _count_issue, inlined on the hottest path
+        self.instructions_issued += 1
+        counters = self._counters
+        counters[u.stat_key] += 1
+        counters[u.class_key] += 1
+        machine.last_progress = now
+        if machine.obs is not None:
+            machine.obs.instruction_issued(self, u)
+        core = self.core
+        try:
+            core.pc = u.ex(core.regs, pc)
+        except TrapError as exc:
+            raise self._trap(u, str(exc)) from None
+        if extra > 0:
+            self.stall_until = now + extra * self.cluster.domain.period
 
     def _check_escape(self, pc: int) -> None:
         """The PC left the broadcast region (legal only with the

@@ -34,7 +34,7 @@ framework:
 """
 
 from repro.xmtc.analysis.cfg import Block, split_blocks
-from repro.xmtc.analysis.classify import classify_body
+from repro.xmtc.analysis.classify import BodyInfo
 from repro.xmtc.analysis.dataflow import (
     liveness,
     reaching_definitions,
@@ -50,7 +50,7 @@ from repro.xmtc.analysis.summaries import UnitSummaries, compute_summaries
 __all__ = [
     "Block",
     "split_blocks",
-    "classify_body",
+    "BodyInfo",
     "liveness",
     "reaching_definitions",
     "region_live_in",

@@ -268,7 +268,8 @@ def affine_disjoint(a: Affine, b: Affine, var: Tuple = VAR_DOLLAR) -> bool:
 
 
 class BodyInfo:
-    """Classification results for one spawn body."""
+    """Classification results for one spawn body: ``BodyInfo(spawn)``
+    analyzes it; results are positional over its ``spawn.body`` list."""
 
     def __init__(self, spawn: IR.SpawnIR):
         self.spawn = spawn
@@ -481,9 +482,3 @@ class BodyInfo:
                         work.append(succ)
         self.block_guards = [f if f is not None else frozenset()
                              for f in facts]
-
-
-def classify_body(spawn: IR.SpawnIR) -> BodyInfo:
-    """Analyze one spawn body; results are positional over its
-    ``spawn.body`` list."""
-    return BodyInfo(spawn)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.xmtc import ir as IR
-from repro.xmtc.analysis.classify import VAR_DOLLAR, classify_body
+from repro.xmtc.analysis.classify import VAR_DOLLAR, BodyInfo
 from repro.xmtc.analysis.diagnostics import Diagnostic
 from repro.xmtc.analysis.summaries import UnitSummaries
 
@@ -66,7 +66,7 @@ def check_memory_model(unit: IR.IRUnit, summaries: UnitSummaries,
 
 def _check_region(spawn: IR.SpawnIR, func_name: str,
                   source_file: str) -> List[Diagnostic]:
-    info = classify_body(spawn)
+    info = BodyInfo(spawn)
     diags: List[Diagnostic] = []
     body = spawn.body
     # alias class -> (store line, private flag, affine form, mixed forms)

@@ -46,7 +46,6 @@ from repro.xmtc.analysis.classify import (
     Affine,
     BodyInfo,
     affine_disjoint,
-    classify_body,
 )
 from repro.xmtc.analysis.diagnostics import Diagnostic
 from repro.xmtc.analysis.summaries import UnitSummaries
@@ -226,7 +225,7 @@ def check_races(unit: IR.IRUnit, summaries: UnitSummaries,
 def _check_region(spawn: IR.SpawnIR, func_name: str,
                   summaries: UnitSummaries, source_file: str,
                   seen: Set[Tuple]) -> List[Diagnostic]:
-    accesses = _collect_accesses(classify_body(spawn), summaries)
+    accesses = _collect_accesses(BodyInfo(spawn), summaries)
     diags: List[Diagnostic] = []
     n = len(accesses)
     for i in range(n):

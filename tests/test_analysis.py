@@ -8,7 +8,7 @@ from repro.xmtc.analysis.cfg import split_blocks
 from repro.xmtc.analysis.classify import (
     DOLLAR,
     UNIFORM,
-    classify_body,
+    BodyInfo,
 )
 from repro.xmtc.analysis.dataflow import (
     block_def_positions,
@@ -284,21 +284,21 @@ class TestClassify:
 
     def test_dollar_indexed_store_is_private(self):
         spawn = find_spawn(compiled_ir(CLASSIFY_SRC))
-        info = classify_body(spawn)
+        info = BodyInfo(spawn)
         _, store_b = self._stores(spawn)["g:B"]
         assert info.is_private_addr(store_b.addr)
         assert info.operand_flags(store_b.addr) == DOLLAR
 
     def test_uniform_store_guarded_by_deq(self):
         spawn = find_spawn(compiled_ir(CLASSIFY_SRC))
-        info = classify_body(spawn)
+        info = BodyInfo(spawn)
         pos_x, store_x = self._stores(spawn)["g:x"]
         assert info.operand_flags(store_x.addr) == UNIFORM
         assert ("deq", 2) in info.guards_at(pos_x)
 
     def test_unguarded_store_has_no_deq_fact(self):
         spawn = find_spawn(compiled_ir(CLASSIFY_SRC))
-        info = classify_body(spawn)
+        info = BodyInfo(spawn)
         pos_b, _ = self._stores(spawn)["g:B"]
         assert not any(g[0] == "deq" for g in info.guards_at(pos_b))
 

@@ -3,7 +3,8 @@
 Covers the decode-once contract (one :class:`DecodedProgram` per
 program, cache freshness, loud failure for unregistered instruction
 classes), a table-driven opcode/disasm round-trip over *every* opcode
-in the dispatch space, the ``$zero`` hard-wiring in both simulation
+in the dispatch space, the register kernels' parity with the
+operational definitions, the ``$zero`` hard-wiring in both simulation
 modes, checkpoint reconstruction of the decode cache, and a hypothesis
 differential pitting the functional pipeline against the cycle-accurate
 one on random straight-line + spawn programs (both consume the same
@@ -62,11 +63,12 @@ from repro.isa.decode import (
     decode_program,
 )
 from repro.isa.disasm import format_instruction
+from repro.isa.registers import NUM_REGS, REG_RA, REG_ZERO
 from repro.sim import checkpoint as CP
 from repro.sim.config import tiny
-from repro.sim.functional import HANDLERS, FunctionalSimulator
+from repro.sim.functional import HANDLERS, FunctionalSimulator, SimulationError
 from repro.sim.machine import Machine, Simulator
-from repro.sim.tcu import _HANDLER_NAMES
+from repro.sim.tcu import _HANDLER_NAMES, _KERNEL_LATENCY
 
 
 # -- the opcode space itself --------------------------------------------------
@@ -77,6 +79,21 @@ def test_opcode_space_fully_described():
     assert len(HANDLERS) == N_OPCODES
     assert all(h is not None for h in HANDLERS)
     assert len(_HANDLER_NAMES) == N_OPCODES
+
+
+def test_register_only_ops_decode_to_kernels():
+    """Exactly the register-only opcodes carry a kernel; the cycle side
+    issues the private-unit ones through it and keeps handlers for the
+    rest (the shared-FU ops arbitrate and deliver later)."""
+    kernel_codes = {OP_ALU, OP_ALU_SHARED, OP_ALU_IMM, OP_LI, OP_UNARY,
+                    OP_UNARY_SHARED, OP_BRANCH, OP_JUMP, OP_JAL, OP_JR,
+                    OP_NOP}
+    for u in decode_program(assemble(ALL_OPCODES_ASM)).uops:
+        assert (u.ex is not None) == (u.code in kernel_codes), u
+    assert set(_KERNEL_LATENCY) == kernel_codes - {OP_ALU_SHARED,
+                                                   OP_UNARY_SHARED}
+    for code in range(N_OPCODES):
+        assert (_HANDLER_NAMES[code] is None) == (code in _KERNEL_LATENCY)
 
 
 def test_every_instruction_class_has_a_decoder():
@@ -254,6 +271,141 @@ def test_extension_instructions_decode():
         halt
     """)
     assert res.read_global(prog, "O") == 19
+
+
+# -- register kernels vs the operational definitions -------------------------
+#
+# Table-driven over every registered definition: the decode-time kernel
+# must leave exactly the register file and next pc that the semantics
+# function, masked to 32 bits, prescribes -- with ``rd`` both ``$zero``
+# (result dropped, ``fn`` still run) and a live register.
+
+_RS, _RT, _LIVE = 8, 9, 10
+_PC, _TARGET = 5, 42
+_OPERANDS = [0, 1, 7, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+             0x3F800000, 0xC0000000]   # ... 1.0f, -2.0f
+_IMMS = [0, 1, 31, 0xFFFFFFFF]
+
+
+def _regs(a: int, b: int = 0) -> list:
+    regs = [(3 * r + 1) & 0xFFFFFFFF for r in range(NUM_REGS)]
+    regs[REG_ZERO] = 0
+    regs[_RS] = a
+    regs[_RT] = b
+    return regs
+
+
+def _check_kernel(ins, regs, compute, next_pc=_PC + 1):
+    """Run ``ins``'s kernel on ``regs``; ``compute()`` evaluates the
+    operational definition, whose masked result must land in ``rd``."""
+    u = decode_instruction(ins)
+    want = list(regs)
+    try:
+        value = compute()
+    except S.TrapError:
+        with pytest.raises(S.TrapError):
+            u.ex(regs, _PC)
+        return
+    if ins.rd != REG_ZERO:
+        want[ins.rd] = value & 0xFFFFFFFF
+    assert u.ex(regs, _PC) == next_pc, ins
+    assert regs == want, ins
+
+
+def _ensure_extension():
+    if "kp_testop" not in S.INT_BINOPS:
+        S.register_binop("kp_testop", lambda a, b: a * 3 + b)  # unmasked
+    return "kp_testop"
+
+
+def test_binop_kernels_match_semantics():
+    _ensure_extension()
+    table = {**S.INT_BINOPS, **S.FLOAT_BINOPS}
+    assert "kp_testop" in table
+    for op, fn in table.items():
+        for rd in (REG_ZERO, _LIVE):
+            for a in _OPERANDS:
+                for b in _OPERANDS:
+                    _check_kernel(I.ALUOp(op, rd, _RS, _RT), _regs(a, b),
+                                  lambda: fn(a, b))
+
+
+def test_imm_kernels_match_semantics():
+    for alias, op in S.IMM_ALIASES.items():
+        fn = S.INT_BINOPS[op]
+        for rd in (REG_ZERO, _LIVE):
+            for a in _OPERANDS:
+                for imm in _IMMS:
+                    _check_kernel(I.ALUImm(alias, rd, _RS, imm), _regs(a),
+                                  lambda: fn(a, imm))
+
+
+def test_unary_kernels_match_semantics():
+    for op, fn in S.UNOPS.items():
+        for rd in (REG_ZERO, _LIVE):
+            for a in _OPERANDS:
+                _check_kernel(I.UnaryOp(op, rd, _RS), _regs(a),
+                              lambda: fn(a))
+
+
+def test_li_kernel():
+    for rd in (REG_ZERO, _LIVE):
+        for imm in _IMMS + [-5, 0x12345678]:
+            _check_kernel(I.LoadImm(rd, imm), _regs(0), lambda: imm)
+
+
+def test_branch_kernels_match_semantics():
+    for op, cond in S.BRANCH_CONDS.items():
+        for rt in (_RT, -1):
+            ins = I.Branch(op, _RS, rt, "L")
+            ins.target = _TARGET
+            u = decode_instruction(ins)
+            for a in _OPERANDS:
+                for b in _OPERANDS:
+                    regs = _regs(a, b)
+                    want = list(regs)
+                    taken = cond(a, b if rt >= 0 else 0)
+                    assert u.ex(regs, _PC) == (_TARGET if taken
+                                               else _PC + 1), (op, rt, a, b)
+                    assert regs == want
+
+
+def test_jump_kernels():
+    for op in ("j", "jal"):
+        ins = I.Jump(op, "L")
+        ins.target = _TARGET
+        regs = _regs(0)
+        want = list(regs)
+        if op == "jal":
+            want[REG_RA] = _PC + 1
+        assert decode_instruction(ins).ex(regs, _PC) == _TARGET
+        assert regs == want
+    regs = _regs(0x1234)
+    want = list(regs)
+    assert decode_instruction(I.JumpReg(_RS)).ex(regs, _PC) == 0x1234
+    assert regs == want
+    regs = _regs(0)
+    want = list(regs)
+    assert decode_instruction(I.Nop()).ex(regs, _PC) == _PC + 1
+    assert regs == want
+
+
+@pytest.mark.parametrize("op", ["div", "rem"])
+def test_division_by_zero_into_zero_register_traps(op):
+    """``fn`` runs even when its result is dropped: a trap into
+    ``$zero`` is never skipped, in either mode."""
+    src = f"""
+        .text
+    main:
+        li  $t0, 5
+        li  $t1, 0
+        {op} $zero, $t0, $t1
+        halt
+    """
+    with pytest.raises(SimulationError, match="by zero"):
+        run_asm_functional(src)
+    with pytest.raises(SimulationError, match="by zero"):
+        run_asm_cycle(src)
 
 
 # -- $zero hard-wiring in both modes ------------------------------------------

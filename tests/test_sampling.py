@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+from repro.isa.decode import OP_SPAWN
 from repro.sim.config import tiny
+from repro.sim.functional import FunctionalSimulator, Memory
 from repro.sim.machine import Simulator
 from repro.sim.sampling import PhaseSampler, SampledSimulator
 from repro.xmtc.compiler import compile_source
@@ -70,6 +72,57 @@ class TestPhaseSampling:
         # stores are still counted (dispatch-loop overheads differ)
         assert got.stats.get("instructions.lw") >= \
             0.9 * ref.stats.get("instructions.lw")
+
+    def test_fast_forwarded_counts_are_exact(self):
+        """Across each fast-forwarded spawn, the ``instructions.*``
+        deltas in the machine's stats are exactly the region's own
+        per-mnemonic counts (plus the ``spawn`` itself), and they sum to
+        the region's instruction count."""
+        program = compile_source(LOOPY)
+        sim = SampledSimulator(program, tiny(),
+                               sampler=PhaseSampler(warmup=3,
+                                                    resample_every=100))
+        machine = sim.machine
+        executor = machine.sampler_exec
+        regions = []
+
+        def spy_region(region, low, high, master_regs):
+            # the reference: a fresh executor on a copy of the same state
+            fresh = FunctionalSimulator.attached(
+                program, Memory(machine.memory.words),
+                list(machine.global_regs), [])
+            want = fresh.run_spawn_region(region, low, high, master_regs)
+            got = real_region(region, low, high, master_regs)
+            regions.append((got, want, dict(fresh.instruction_counts)))
+            return got
+
+        real_region = executor.run_spawn_region
+        executor.run_spawn_region = spy_region
+
+        deltas = []
+        master = machine.master
+        real_spawn = master._handlers[OP_SPAWN]
+
+        def spy_spawn(now, u):
+            stats = machine.stats
+            skipped = stats.get("spawn.fast_forwarded")
+            before = stats.group("instructions")
+            real_spawn(now, u)
+            if stats.get("spawn.fast_forwarded") == skipped:
+                return  # drained, or measured on the TCUs
+            after = stats.group("instructions")
+            deltas.append({op: n - before.get(op, 0)
+                           for op, n in after.items()
+                           if n != before.get(op, 0)})
+
+        master._handlers[OP_SPAWN] = spy_spawn
+        result = sim.run(max_cycles=10_000_000)
+        assert result.read_global("A") == [40] * 64
+        assert len(regions) == len(deltas) == 37
+        for delta, (got, want, counts) in zip(deltas, regions):
+            assert got == want == sum(counts.values()) > 64
+            counts["spawn"] = counts.get("spawn", 0) + 1
+            assert delta == counts
 
     def test_heterogeneous_sites_tracked_separately(self):
         src = """
